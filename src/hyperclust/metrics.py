@@ -2,19 +2,19 @@
 
 Two labelings describe the same partition up to renaming clusters, so every
 metric here first aligns them: the K x K confusion matrix is built and the
-cluster permutation maximizing the diagonal overlap is found exactly
-(exhaustively for K <= 8, by an exact assignment solve beyond that).
+cluster permutation maximizing the diagonal overlap is found exactly, as the
+balanced projection of the confusion matrix with one slot per cluster.  Ties
+go to the lexicographically smallest permutation for every K.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .core import Assignment
-from .projection import _transport
+from .projection import project_balanced
 
 __all__ = [
     "confusion_matrix",
@@ -22,8 +22,6 @@ __all__ = [
     "misclassification_rate",
     "exact_recovery",
 ]
-
-_EXHAUSTIVE_K = 8
 
 
 def confusion_matrix(h: Assignment, truth: Assignment) -> np.ndarray:
@@ -38,18 +36,8 @@ def confusion_matrix(h: Assignment, truth: Assignment) -> np.ndarray:
 
 
 def _best_overlap(M: np.ndarray) -> tuple[tuple[int, ...], int]:
-    K = M.shape[0]
-    if K <= _EXHAUSTIVE_K:
-        best_perm, best = None, -1
-        for perm in itertools.permutations(range(K)):
-            overlap = int(M[np.arange(K), perm].sum())
-            if overlap > best:
-                best_perm, best = perm, overlap
-        return best_perm, best
-    # exact K x K assignment: maximize trace overlap = min-cost with -M
-    assign, _ = _transport((-M.astype(np.int64)).tolist(), K, 1)
-    perm = tuple(int(a) for a in assign)
-    return perm, int(M[np.arange(K), list(perm)].sum())
+    perm = project_balanced(M).labels
+    return tuple(perm.tolist()), int(M[np.arange(M.shape[0]), perm].sum())
 
 
 def align_and_distance(h: Assignment, truth: Assignment):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hyperclust.core import Assignment
 from hyperclust.metrics import (
+    _best_overlap,
     align_and_distance,
     confusion_matrix,
     exact_recovery,
@@ -113,3 +115,18 @@ def test_large_k_uses_exact_assignment():
     assert exact_recovery(h, t)
     # recovered renaming undoes the applied permutation
     assert [p[perm[k]] for k in range(K)] == list(range(K))
+
+
+def test_alignment_is_the_first_best_permutation():
+    # the lexicographically first permutation of maximal overlap, as an
+    # exhaustive search in itertools order would find it
+    rng = np.random.default_rng(15)
+    for _ in range(600):
+        K = int(rng.integers(2, 7))
+        M = rng.integers(0, int(rng.choice([2, 5, 50])), size=(K, K))
+        best_perm, best = None, -1
+        for perm in itertools.permutations(range(K)):
+            overlap = int(M[np.arange(K), perm].sum())
+            if overlap > best:
+                best_perm, best = perm, overlap
+        assert _best_overlap(M) == (best_perm, best)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,20 @@ def test_rejects_indivisible_and_nonfinite():
         project_balanced(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         brute_force_projection(np.zeros((16, 2)))
+    with pytest.raises(ValueError):
+        project_balanced(np.array([[2**60, 0], [0, 0]]))
+    with pytest.raises(ValueError):
+        project_balanced(np.array([[0, 0], [np.iinfo(np.int64).min, 0]]))
+
+
+def test_integer_entries_near_the_limit_stay_exact():
+    rng = np.random.default_rng(55)
+    for _ in range(200):
+        n, K = _oracle_shapes(rng)
+        C = rng.integers(-(2**60) + 1, 2**60, size=(n, K))
+        # the oracle sums python ints, which cannot overflow
+        slow = brute_force_projection(C.astype(object))
+        assert project_balanced(C).labels.tolist() == slow.labels.tolist()
 
 
 def test_single_cluster_is_trivial():
@@ -170,3 +187,96 @@ def test_all_tied_rows_mix_with_forced_rows():
     out = project_balanced(C)
     assert out.labels.tolist() == brute_force_projection(C).labels.tolist()
     assert selected_sum(C, out.labels) == pytest.approx(20.0)
+
+
+# --- exact fast routes: balanced argmax, K=2 closed form, excess routing ---
+
+
+def _argmax_counts(C):
+    return np.bincount(np.argmax(C, axis=1), minlength=C.shape[1])
+
+
+def _oracle_shapes(rng):
+    K = int(rng.choice([2, 3, 4]))
+    n = K * int(rng.integers(1, {2: 7, 3: 4, 4: 3}[K]))
+    return n, K
+
+
+def test_balanced_argmax_with_tied_rows_matches_oracle():
+    # each row's first maximum sits at a balanced label; later columns may
+    # tie it, so other optimal assignments exist
+    rng = np.random.default_rng(90)
+    tied_rows = 0
+    for _ in range(400):
+        n, K = _oracle_shapes(rng)
+        lab = rng.permutation(np.repeat(np.arange(K), n // K))
+        C = rng.integers(0, 3, size=(n, K))
+        for i, k in enumerate(lab):
+            top = C[i].max() + 1
+            C[i, :k] = np.minimum(C[i, :k], top - 1)
+            C[i, k] = top
+            C[i, k + 1 :][rng.random(K - k - 1) < 0.5] = top
+        assert np.all(_argmax_counts(C) == n // K)
+        tied_rows += int(((C == C.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        assert project_balanced(C).labels.tolist() == brute_force_projection(C).labels.tolist()
+    assert tied_rows > 100
+
+
+def test_k2_boundary_ties_match_oracle():
+    rng = np.random.default_rng(91)
+    checked = 0
+    while checked < 300:
+        n = 2 * int(rng.integers(2, 7))
+        C = rng.integers(-1, 2, size=(n, 2))
+        delta = np.sort(C[:, 1] - C[:, 0])
+        if delta[n // 2 - 1] != delta[n // 2] or np.all(_argmax_counts(C) == n // 2):
+            continue  # want a tie straddling the m-th place and no argmax shortcut
+        checked += 1
+        assert project_balanced(C).labels.tolist() == brute_force_projection(C).labels.tolist()
+
+
+def test_unbalanced_argmax_with_ties_matches_oracle():
+    rng = np.random.default_rng(92)
+    checked = 0
+    while checked < 300:
+        n, K = _oracle_shapes(rng)
+        if K == 2:
+            continue
+        C = rng.integers(0, 3, size=(n, K))
+        tied = (C == C.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        if np.all(_argmax_counts(C) == n // K) or not tied.any():
+            continue
+        checked += 1
+        assert project_balanced(C).labels.tolist() == brute_force_projection(C).labels.tolist()
+
+
+def test_float_entries_within_tolerance_count_as_ties():
+    # integer matrices perturbed far below the relative tie tolerance: the
+    # float route must return the integer matrix's lex-min optimum
+    rng = np.random.default_rng(93)
+    for _ in range(300):
+        n, K = _oracle_shapes(rng)
+        base = rng.integers(0, 3, size=(n, K))
+        C = base + rng.uniform(-1e-15, 1e-15, size=(n, K))
+        assert project_balanced(C).labels.tolist() == brute_force_projection(base).labels.tolist()
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+# Labels of the solver before the fast routes existed; every route must
+# return the same lex-min optimum bit for bit.
+TIE_HEAVY_DIGESTS = {2: "87228fb1b1a76496", 3: "b18e48ad453987c4", 4: "58936f14eff6643d"}
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_tie_heavy_integer_projections_are_pinned(K):
+    rng = np.random.default_rng(900 + K)
+    mats = [rng.integers(0, 4, size=(600, K)) for _ in range(6)]
+    for _ in range(3):
+        # a balanced one-hot lifted over small integer noise: many tied maxima
+        lab = rng.permutation(np.repeat(np.arange(K), 600 // K))
+        mats.append(2 * np.eye(K, dtype=np.int64)[lab] + rng.integers(0, 3, size=(600, K)))
+    labels = [project_balanced(C).labels.tolist() for C in mats]
+    assert _digest(labels) == TIE_HEAVY_DIGESTS[K]

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hyperclust.core import Assignment, Hypergraph, objective
 from hyperclust.experiments import block_truth
-from hyperclust.initializers import corrupt
+from hyperclust.initializers import corrupt, random_init, spectral_init
 from hyperclust.metrics import exact_recovery
 from hyperclust.projection import _balanced_labelings
 from hyperclust.sampler import LogRegimeParams, sample, to_probabilities, uniformize
@@ -165,3 +168,48 @@ def test_dummy_nodes_excluded_from_balance():
     assert real_final.is_balanced
     assert exact_recovery(real_final, truth)
     assert report.trajectory[-1].distance == 0.0
+
+
+# --- pinned trajectories ---
+
+
+def _sparse_planted(n, d, K, n_in, n_out, rng):
+    """Planted partition with few edges, so score rows tie often; drawn here
+    rather than by the sampler so the pin does not follow its random stream."""
+    labels = rng.permutation(np.repeat(np.arange(K), n // K))
+    members = [np.flatnonzero(labels == k) for k in range(K)]
+    rows = [np.sort(rng.choice(members[rng.integers(K)], d, replace=False)) for _ in range(n_in)]
+    rows += [np.sort(rng.choice(n, d, replace=False)) for _ in range(n_out)]
+    return Hypergraph(n, d, np.unique(rows, axis=0)), Assignment(labels, K, balanced=True)
+
+
+# Final labels and every (iteration, objective, distance) record, as the
+# solver produced them before its projection took the exact fast routes.
+TRAJECTORY_DIGESTS = {
+    (2, "random"): "3fef4e88db8f480e",
+    (2, "corrupt"): "fe5222069df08dce",
+    (2, "spectral"): "5c4614fe6730f4a1",
+    (3, "random"): "f96e60c2c7b203ad",
+    (3, "corrupt"): "b5efdc7917f3cf9d",
+    (3, "spectral"): "2e24a8bd2a39e221",
+    (4, "random"): "f3287158eaff6374",
+    (4, "corrupt"): "f1bea7eea2f5bfd2",
+    (4, "spectral"): "989825dd6516817d",
+}
+
+
+@pytest.mark.parametrize("K, start", sorted(TRAJECTORY_DIGESTS))
+def test_trajectories_are_pinned(K, start):
+    g, truth = _sparse_planted(240, 3, K, 500, 500, np.random.default_rng([77, K]))
+    if start == "random":
+        h0 = random_init(240, K, seed=5)
+    elif start == "corrupt":
+        h0 = corrupt(truth, 60, seed=5)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h0 = spectral_init(g, K, seed=5, strict=False)
+    report = ptpm(g, h0, truth=truth)
+    records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
+    blob = json.dumps([report.final.labels.tolist(), records])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TRAJECTORY_DIGESTS[K, start]
