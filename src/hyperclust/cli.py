@@ -3,7 +3,14 @@
 Subcommands: sample, solve, score, phase, converge, bench, uci.  Shared
 flags: ``--seed``, ``--threads`` (falling back to the HYPERCLUST_THREADS
 environment variable), ``--config`` (a flat ``key = value`` file mirroring
-the long flag names; explicit flags win), ``--out``.
+the long flag names), ``--out``.
+
+Each option takes its value from the flag if given, else from the config
+file, else from the library function's own default (``--threads`` reads
+HYPERCLUST_THREADS before that).  Only options that no library function
+defaults (``--d``, ``--seed`` of ``sample`` and ``solve``, ``--init`` of
+``solve``) have a default here.  Config values are parsed by the flag's own
+type; a flag that takes no value reads ``1``, ``true`` or ``yes`` as set.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .core import (
     write_hypergraph,
 )
 from .experiments import (
+    RAW_COLUMNS,
     GridConfig,
     convergence_trace,
     make_initializer,
@@ -51,101 +59,68 @@ def load_config(path):
     return values
 
 
-class _Resolver:
-    """Merge CLI args, config-file values, and defaults (in that order)."""
-
-    def __init__(self, args):
-        self.args = vars(args)
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, default=None, cast=str):
-        cli = self.args.get(key)
-        if cli is not None:
-            return cli
-        if key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
-
-    def require(self, key, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise SystemExit(f"missing required option --{key.replace('_', '-')}")
-        return value
+def _config_defaults(parser, config):
+    """Make config values a subcommand's defaults, so that argparse parses
+    them with each flag's own type and an explicit flag still wins."""
+    defaults = {}
+    for action in parser._actions:
+        if action.dest in config:
+            raw = config[action.dest]
+            if action.nargs == 0:  # a flag: its value is a word, and "false" is a true string
+                raw = raw.lower() in ("1", "true", "yes")
+            defaults[action.dest] = raw
+    parser.set_defaults(**defaults)
 
 
-def _threads(res):
-    value = res.get("threads")
-    if value is not None:
-        return int(value)
-    env = os.environ.get("HYPERCLUST_THREADS")
-    return int(env) if env else 1
+def _require(args, *names):
+    for name in names:
+        if getattr(args, name) is None:
+            raise SystemExit(f"missing required option --{name.replace('_', '-')}")
 
 
-def _resolve_probabilities(res):
-    n = int(res.require("n", int))
-    d = int(res.get("d", 3, int))
-    K = int(res.require("k", int))
-    p, q = res.get("p", cast=float), res.get("q", cast=float)
-    alpha, beta = res.get("alpha", cast=float), res.get("beta", cast=float)
-    if p is not None or q is not None:
-        if p is None or q is None:
+def _given(args, *names, **renamed):
+    """Keyword arguments for the options that are set, so that unset ones
+    keep the library function's default; ``renamed`` maps keyword to option."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {key: getattr(args, dest) for key, dest in pairs if getattr(args, dest) is not None}
+
+
+def _probabilities(args):
+    if args.p is not None or args.q is not None:
+        if args.p is None or args.q is None:
             raise SystemExit("--p and --q must be given together")
-        return ModelParams(n, d, K, float(p), float(q))
-    if alpha is None or beta is None:
+        return ModelParams(args.n, args.d, args.k, args.p, args.q)
+    if args.alpha is None or args.beta is None:
         raise SystemExit("give either --p/--q or --alpha/--beta")
-    return to_probabilities(LogRegimeParams(n, d, K, float(alpha), float(beta)))
+    return to_probabilities(LogRegimeParams(args.n, args.d, args.k, args.alpha, args.beta))
 
 
 def cmd_sample(args):
-    res = _Resolver(args)
-    params = _resolve_probabilities(res)
-    seed = int(res.get("seed", 0, int))
-    truth = shuffled_truth(params.n, params.K, mix_seed(seed, 2))
-    g = sample(params, truth, seed)
-    out = res.require("out")
-    write_hypergraph(g, out)
-    truth_out = res.get("truth_out")
-    if truth_out:
-        write_assignment(truth, truth_out)
-    print(f"wrote {g.num_edges} hyperedges to {out}")
+    _require(args, "n", "k", "out")
+    params = _probabilities(args)
+    truth = shuffled_truth(params.n, params.K, mix_seed(args.seed, 2))
+    g = sample(params, truth, args.seed)
+    write_hypergraph(g, args.out)
+    if args.truth_out:
+        write_assignment(truth, args.truth_out)
+    print(f"wrote {g.num_edges} hyperedges to {args.out}")
     return 0
 
 
-def _initial_assignment(g, K, init_name, truth, seed):
-    initializer = make_initializer(init_name)
-    return initializer(g, K, truth, seed)
-
-
 def cmd_solve(args):
-    res = _Resolver(args)
-    g = read_hypergraph(res.require("graph"))
-    K = int(res.require("k", int))
-    seed = int(res.get("seed", 0, int))
-    truth_path = res.get("truth")
-    truth = read_assignment(truth_path, K) if truth_path else None
-    init_name = res.get("init", "random")
-    h0 = _initial_assignment(g, K, init_name, truth, mix_seed(seed, 1))
-    max_iters = res.get("max_iters", cast=int)
-    report = ptpm(
-        g,
-        h0,
-        int(max_iters) if max_iters is not None else None,
-        early_stop=not res.get("no_early_stop", False, bool),
-        truth=truth,
-    )
-    out = res.get("out")
-    if out:
-        write_assignment(report.final, out)
-    trace = res.get("trace")
-    if trace and report.trajectory:
+    _require(args, "graph", "k")
+    g = read_hypergraph(args.graph)
+    truth = read_assignment(args.truth, args.k) if args.truth else None
+    h0 = make_initializer(args.init)(g, args.k, truth, mix_seed(args.seed, 1))
+    report = ptpm(g, h0, args.max_iters, early_stop=not args.no_early_stop, truth=truth)
+    if args.out:
+        write_assignment(report.final, args.out)
+    if args.trace and report.trajectory:
         rows = [
             (rec.iteration, rec.objective, rec.distance, rec.wall_ms)
             for rec in report.trajectory
         ]
-        write_csv(trace, ["iteration", "objective", "distance", "wall_ms"], rows)
+        write_csv(args.trace, ["iteration", "objective", "distance", "wall_ms"], rows)
     line = (
         f"iterations={report.iterations_run} fixed_point={int(report.converged_by_fixed_point)} "
         f"objective={objective(g, report.final)}"
@@ -158,9 +133,9 @@ def cmd_solve(args):
 
 
 def cmd_score(args):
-    res = _Resolver(args)
-    pred = read_assignment(res.require("pred"))
-    truth_raw = read_assignment(res.require("truth"))
+    _require(args, "pred", "truth")
+    pred = read_assignment(args.pred)
+    truth_raw = read_assignment(args.truth)
     K = max(pred.K, truth_raw.K)
     pred = Assignment(pred.labels, K)
     truth = Assignment(truth_raw.labels, K)
@@ -172,46 +147,43 @@ def cmd_score(args):
     return 0
 
 
-def _parse_range(text):
-    parts = [float(x) for x in text.split(":")]
+def _range(text):
+    parts = tuple(float(x) for x in text.split(":"))
     if len(parts) != 3:
-        raise SystemExit("ranges use start:stop:step")
-    return tuple(parts)
+        raise argparse.ArgumentTypeError("ranges use start:stop:step")
+    return parts
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def cmd_phase(args):
-    res = _Resolver(args)
+    _require(args, "n", "k", "alpha_range", "beta_range", "out")
     cfg = GridConfig.from_ranges(
-        int(res.require("n", int)),
-        int(res.get("d", 3, int)),
-        int(res.require("k", int)),
-        _parse_range(res.require("alpha_range")),
-        _parse_range(res.require("beta_range")),
-        trials=int(res.get("trials", 5, int)),
-        init=res.get("init", "spectral"),
-        max_iters=res.get("max_iters", cast=int),
-        base_seed=int(res.get("seed", 0, int)),
-        threads=_threads(res),
+        args.n,
+        args.d,
+        args.k,
+        args.alpha_range,
+        args.beta_range,
+        **_given(args, "trials", "init", "max_iters", "threads", base_seed="seed"),
     )
-    out = res.require("out")
-    rows, ratios = phase_transition(cfg, out)
+    rows, ratios = phase_transition(cfg, args.out)
     done = sum(1 for r in rows if not r.skipped)
-    print(f"ran {done} trials over {len(cfg.alphas) * len(cfg.betas)} cells -> {out}")
+    print(f"ran {done} trials over {len(cfg.alphas) * len(cfg.betas)} cells -> {args.out}")
     return 0
 
 
 def cmd_converge(args):
-    res = _Resolver(args)
+    _require(args, "n", "k", "alpha", "beta", "out")
     traces = convergence_trace(
-        int(res.require("n", int)),
-        int(res.get("d", 3, int)),
-        int(res.require("k", int)),
-        float(res.require("alpha", float)),
-        float(res.require("beta", float)),
-        restarts=int(res.get("restarts", 8, int)),
-        max_iters=int(res.get("max_iters", 30, int)),
-        base_seed=int(res.get("seed", 0, int)),
-        out=res.require("out"),
+        args.n,
+        args.d,
+        args.k,
+        args.alpha,
+        args.beta,
+        out=args.out,
+        **_given(args, "restarts", "max_iters", base_seed="seed"),
     )
     recovered = sum(1 for t in traces if t[-1].distance == 0.0)
     print(f"{recovered}/{len(traces)} restarts reached the planted partition")
@@ -219,17 +191,11 @@ def cmd_converge(args):
 
 
 def cmd_bench(args):
-    res = _Resolver(args)
-    sizes = [int(x) for x in res.require("sizes").split(",")]
-    d = int(res.get("d", 3, int))
-    K = int(res.require("k", int))
-    alpha = float(res.require("alpha", float))
-    beta = float(res.require("beta", float))
+    _require(args, "sizes", "k", "alpha", "beta", "out")
     results = timing_benchmark(
-        [(n, d, K, alpha, beta) for n in sizes],
-        iters=int(res.get("iters", 10, int)),
-        base_seed=int(res.get("seed", 0, int)),
-        out=res.require("out"),
+        [(n, args.d, args.k, args.alpha, args.beta) for n in args.sizes],
+        out=args.out,
+        **_given(args, "iters", base_seed="seed"),
     )
     for r in results:
         print(f"n={r['n']} edges={r['edges']} per_iter_ms={r['per_iter_ms']:.3f}")
@@ -237,17 +203,11 @@ def cmd_bench(args):
 
 
 def cmd_uci(args):
-    res = _Resolver(args)
-    columns = tuple(int(x) for x in res.get("columns", "4,5,12,15").split(","))
+    _require(args, "data")
     g, truth, row = uci_votes_pipeline(
-        res.require("data"),
-        columns=columns,
-        edge_prob=float(res.get("edge_prob", 0.05, float)),
-        seed=int(res.get("seed", 0, int)),
-        out=res.get("out"),
-        restarts=int(res.get("restarts", 10, int)),
-        max_iters=int(res.get("max_iters", 20, int)),
-        per_party=int(res.get("per_party", 168, int)),
+        args.data,
+        out=args.out,
+        **_given(args, "columns", "edge_prob", "seed", "restarts", "max_iters", "per_party"),
     )
     print(
         f"edges={g.num_edges} misclassification={row.misclassification!r} "
@@ -263,10 +223,11 @@ def _add_common(p):
     p.add_argument("--out", help="output path")
 
 
-_RESULT_COLUMNS = "alpha,beta,trial,seed,success,iterations_run,misclassification,wall_ms,skipped"
+_RESULT_COLUMNS = ",".join(RAW_COLUMNS)
 
 
-def build_parser():
+def build_parser(config=None):
+    """The argument parser; ``config`` values become subcommand defaults."""
     parser = argparse.ArgumentParser(
         prog="hyperclust",
         description="Community recovery on uniform hypergraphs via projected power iterations",
@@ -276,14 +237,14 @@ def build_parser():
     p = sub.add_parser("sample", help="draw a planted-partition hypergraph")
     _add_common(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--q", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--truth-out", dest="truth_out", help="also write the planted labels")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, seed=0)
 
     p = sub.add_parser(
         "solve",
@@ -293,12 +254,12 @@ def build_parser():
     _add_common(p)
     p.add_argument("--graph", help="hypergraph file")
     p.add_argument("--k", type=int)
-    p.add_argument("--init", help="random | spectral | corrupt:<swaps>")
+    p.add_argument("--init", default="random", help="random | spectral | corrupt:<swaps>")
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--truth", help="labels file; enables distance reporting")
     p.add_argument("--trace", help="per-iteration CSV output")
-    p.add_argument("--no-early-stop", dest="no_early_stop", action="store_const", const=True)
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
+    p.set_defaults(func=cmd_solve, seed=0)
 
     p = sub.add_parser(
         "score",
@@ -318,14 +279,14 @@ def build_parser():
     )
     _add_common(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
-    p.add_argument("--alpha-range", dest="alpha_range", help="start:stop:step")
-    p.add_argument("--beta-range", dest="beta_range", help="start:stop:step")
+    p.add_argument("--alpha-range", dest="alpha_range", type=_range, help="start:stop:step")
+    p.add_argument("--beta-range", dest="beta_range", type=_range, help="start:stop:step")
     p.add_argument("--trials", type=int)
     p.add_argument("--init", help="random | spectral | corrupt:<swaps>")
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.set_defaults(func=cmd_phase)
+    p.set_defaults(func=cmd_phase, threads=os.environ.get("HYPERCLUST_THREADS") or None)
 
     p = sub.add_parser(
         "converge",
@@ -334,7 +295,7 @@ def build_parser():
     )
     _add_common(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -348,8 +309,8 @@ def build_parser():
         epilog="CSV columns: n,d,K,alpha,beta,edges,iterations,total_ms,per_iter_ms",
     )
     _add_common(p)
-    p.add_argument("--sizes", help="comma-separated node counts")
-    p.add_argument("--d", type=int)
+    p.add_argument("--sizes", type=_ints, help="comma-separated node counts")
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -363,19 +324,24 @@ def build_parser():
     )
     _add_common(p)
     p.add_argument("--data", help="raw comma-separated voting file")
-    p.add_argument("--columns", help="1-based issue columns, comma-separated")
+    p.add_argument("--columns", type=_ints, help="1-based issue columns, comma-separated")
     p.add_argument("--edge-prob", dest="edge_prob", type=float)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--per-party", dest="per_party", type=int)
     p.set_defaults(func=cmd_uci)
 
+    if config:
+        for p in sub.choices.values():
+            _config_defaults(p, config)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            args = build_parser(load_config(args.config)).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

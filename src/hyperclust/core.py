@@ -32,14 +32,35 @@ __all__ = [
     "write_assignment",
 ]
 
+_MASK64 = (1 << 64) - 1
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator for a seed; seeds are taken modulo 2**64."""
+    return np.random.default_rng(int(seed) & _MASK64)
+
+
+def check_divides(n: int, K: int) -> None:
+    """Reject a cluster count that cannot split n nodes into equal clusters."""
+    if K < 1 or n < 1 or n % K:
+        raise ValueError(f"K={K} must divide n={n}, both positive")
+
+
+def check_covers(g: Hypergraph, h: Assignment) -> None:
+    """Reject a labeling whose node count differs from the hypergraph's."""
+    if h.n != g.n:
+        raise ValueError(f"labeling covers {h.n} nodes, hypergraph has {g.n}")
+
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Symmetric d-uniform hypergraph on ``n`` nodes.
 
     ``edges`` has shape (E, d); rows are strictly increasing 0-based node
-    ids, unique, and lexicographically sorted (canonical form).  Instances
-    are immutable; all operations on them are pure functions.
+    ids, unique, and lexicographically sorted (canonical form).  Any (E, d)
+    array of increasing rows is accepted and put in row order here, the
+    one place where rows are validated and sorted.  Instances are
+    immutable; all operations on them are pure functions.
     """
 
     n: int
@@ -73,16 +94,7 @@ class Hypergraph:
     @classmethod
     def from_edge_list(cls, n, d, edge_list):
         """Build a canonical hypergraph from an iterable of d-sets of node ids."""
-        rows = []
-        for edge in edge_list:
-            t = tuple(sorted(int(x) for x in edge))
-            if len(t) != d or len(set(t)) != d:
-                raise ValueError(f"hyperedge {tuple(edge)} does not have {d} distinct members")
-            rows.append(t)
-        if len(set(rows)) != len(rows):
-            raise ValueError("duplicate hyperedges")
-        arr = np.array(sorted(rows), dtype=np.int64).reshape(len(rows), d)
-        return cls(n, d, arr)
+        return cls(n, d, [sorted(int(x) for x in edge) for edge in edge_list])
 
     @property
     def num_edges(self) -> int:
@@ -117,8 +129,7 @@ class Assignment:
         if lab.min() < 0 or lab.max() >= K:
             raise ValueError("label out of range")
         if self.balanced:
-            if lab.size % K:
-                raise ValueError("balanced assignment requires K | n")
+            check_divides(lab.size, K)
             if not np.all(np.bincount(lab, minlength=K) == lab.size // K):
                 raise ValueError("balanced flag set but cluster sizes differ")
         lab = lab.copy()
@@ -163,11 +174,8 @@ def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     but linear in the edge count (one vectorized sweep per member position)
     instead of touching n^d entries.
     """
-    if h.n != g.n:
-        raise ValueError(f"labeling covers {h.n} nodes, hypergraph has {g.n}")
+    check_covers(g, h)
     scores = np.zeros((g.n, h.K), dtype=np.int64)
-    if g.num_edges == 0:
-        return scores
     fact = math.factorial(g.d - 1)
     edge_labels = h.labels[g.edges]  # (E, d)
     for j in range(g.d):
@@ -189,8 +197,7 @@ def dense_multilinear_oracle(g: Hypergraph, h: Assignment, max_n: int = 10) -> n
         raise ValueError(f"oracle refuses n={g.n} > {max_n} (dense tensor is n^d)")
     if g.d > 4:
         raise ValueError(f"oracle refuses d={g.d} > 4")
-    if h.n != g.n:
-        raise ValueError(f"labeling covers {h.n} nodes, hypergraph has {g.n}")
+    check_covers(g, h)
     A = np.zeros((g.n,) * g.d, dtype=np.int64)
     for edge in g.edges.tolist():
         for perm in itertools.permutations(edge):
@@ -208,10 +215,7 @@ def objective(g: Hypergraph, h: Assignment) -> int:
     label; this is the quantity the solver maximizes over balanced
     assignments.
     """
-    if h.n != g.n:
-        raise ValueError(f"labeling covers {h.n} nodes, hypergraph has {g.n}")
-    if g.num_edges == 0:
-        return 0
+    check_covers(g, h)
     edge_labels = h.labels[g.edges]
     mono = int(np.all(edge_labels == edge_labels[:, :1], axis=1).sum())
     return math.factorial(g.d) * mono

@@ -15,13 +15,13 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .core import Assignment, Hypergraph, objective
+from .core import _MASK64, Assignment, Hypergraph, check_divides, objective, seeded_rng
 from .initializers import corrupt, random_init, spectral_init
 from .metrics import exact_recovery, misclassification_rate
 from .sampler import LogRegimeParams, sample, to_probabilities
@@ -43,9 +43,6 @@ __all__ = [
     "uci_votes_pipeline",
 ]
 
-_MASK64 = (1 << 64) - 1
-
-
 def _splitmix64(z: int) -> int:
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -63,8 +60,7 @@ def mix_seed(base_seed: int, *parts: int) -> int:
 
 def block_truth(n: int, K: int) -> Assignment:
     """Canonical planted partition: nodes 0..m-1 in cluster 0, and so on."""
-    if n % K:
-        raise ValueError(f"K={K} must divide n={n}")
+    check_divides(n, K)
     return Assignment(np.repeat(np.arange(K), n // K), K, balanced=True)
 
 
@@ -76,10 +72,7 @@ def shuffled_truth(n: int, K: int, seed: int) -> Assignment:
     tie-break emits the block labeling, which would spuriously count as a
     recovery of a block-shaped truth.
     """
-    if n % K:
-        raise ValueError(f"K={K} must divide n={n}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
-    labels = rng.permutation(np.repeat(np.arange(K), n // K))
+    labels = seeded_rng(seed).permutation(block_truth(n, K).labels)
     return Assignment(labels, K, balanced=True)
 
 
@@ -161,17 +154,7 @@ class ResultRow:
             raise ValueError("success implies zero misclassification")
 
 
-RAW_COLUMNS = [
-    "alpha",
-    "beta",
-    "trial",
-    "seed",
-    "success",
-    "iterations_run",
-    "misclassification",
-    "wall_ms",
-    "skipped",
-]
+RAW_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _fmt(x):
@@ -190,20 +173,6 @@ def write_csv(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(x) for x in row])
-
-
-def _row_tuple(r: ResultRow):
-    return (
-        r.alpha,
-        r.beta,
-        r.trial,
-        r.seed,
-        r.success,
-        r.iterations_run,
-        r.misclassification,
-        r.wall_ms,
-        r.skipped,
-    )
 
 
 def _phase_task(payload) -> ResultRow:
@@ -281,7 +250,7 @@ def phase_transition(cfg: GridConfig, out=None):
 
     if out is not None:
         out = Path(out)
-        write_csv(out, RAW_COLUMNS, [_row_tuple(r) for r in rows])
+        write_csv(out, RAW_COLUMNS, [astuple(r) for r in rows])
         ratio_rows = [
             [alpha] + [("" if ratios[(alpha, beta)] is None else ratios[(alpha, beta)]) for beta in cfg.betas]
             for alpha in cfg.alphas
@@ -426,7 +395,7 @@ def votes_hypergraph(votes, columns, edge_prob, seed) -> Hypergraph:
     for c in columns:
         if not (1 <= c <= votes.shape[1]):
             raise ValueError(f"issue column {c} outside 1..{votes.shape[1]}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = seeded_rng(seed)
     edges = set()
     for c in columns:
         stances = votes[:, c - 1]
@@ -439,9 +408,7 @@ def votes_hypergraph(votes, columns, edge_prob, seed) -> Hypergraph:
             for idx, triple in enumerate(combinations(group.tolist(), 3)):
                 if keep[idx]:
                     edges.add(triple)
-    if not edges:
-        return Hypergraph(n, 3, np.empty((0, 3), dtype=np.int64))
-    return Hypergraph(n, 3, np.array(sorted(edges), dtype=np.int64))
+    return Hypergraph(n, 3, list(edges))
 
 
 def uci_votes_pipeline(
@@ -488,5 +455,5 @@ def uci_votes_pipeline(
         skipped=g.num_edges == 0,
     )
     if out is not None:
-        write_csv(out, RAW_COLUMNS, [_row_tuple(row)])
+        write_csv(out, RAW_COLUMNS, [astuple(row)])
     return g, truth, row

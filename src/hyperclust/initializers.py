@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .core import Assignment, Hypergraph
+from .core import Assignment, Hypergraph, check_divides, seeded_rng
 from .projection import project_balanced
 
 __all__ = [
@@ -23,9 +23,6 @@ __all__ = [
     "similarity_matrix",
     "EigensolverError",
 ]
-
-_MASK64 = (1 << 64) - 1
-
 
 class EigensolverError(RuntimeError):
     """Raised when the block power iteration fails to reach tolerance.
@@ -46,9 +43,8 @@ class EigensolverError(RuntimeError):
 
 def random_init(n: int, K: int, seed: int) -> Assignment:
     """Balanced projection of an n x K matrix of independent standard normals."""
-    if n % K:
-        raise ValueError(f"K={K} must divide n={n}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    check_divides(n, K)
+    rng = seeded_rng(seed)
     return project_balanced(rng.standard_normal((n, K)))
 
 
@@ -72,9 +68,8 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     no-signal cells, where the trailing eigengap is genuinely degenerate
     and any basis of the wobbling subspace is as informative as another.
     """
-    if g.n % K:
-        raise ValueError(f"K={K} must divide n={g.n}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    check_divides(g.n, K)
+    rng = seeded_rng(seed)
     W = similarity_matrix(g)
     try:
         vecs = _top_eigenvectors(W, K, rng)
@@ -101,7 +96,9 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     n, K = ground_truth.n, ground_truth.K
     if swaps < 0 or 2 * swaps > n:
         raise ValueError(f"swaps={swaps} needs 2*swaps <= n={n}")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    if swaps and K == 1:
+        raise ValueError("swaps need a second cluster to exchange labels with")
+    rng = seeded_rng(seed)
     labels = ground_truth.labels.copy()
     untouched = list(range(n))
     for remaining in range(swaps, 0, -1):

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Assignment
+from .core import Assignment, check_divides
 
 __all__ = ["project_balanced", "brute_force_projection"]
 
@@ -74,10 +74,7 @@ def project_balanced(scores) -> Assignment:
     if C.ndim != 2:
         raise ValueError("score matrix must be 2-dimensional")
     n, K = C.shape
-    if K < 1 or n < 1:
-        raise ValueError("score matrix must be non-empty")
-    if n % K:
-        raise ValueError(f"n={n} not divisible by K={K}")
+    check_divides(n, K)
     integer_mode = np.issubdtype(C.dtype, np.integer)
     if not integer_mode:
         if not np.isfinite(C).all():
@@ -123,8 +120,7 @@ def brute_force_projection(scores, max_n: int = 12) -> Assignment:
     if C.ndim != 2:
         raise ValueError("score matrix must be 2-dimensional")
     n, K = C.shape
-    if n % K:
-        raise ValueError(f"n={n} not divisible by K={K}")
+    check_divides(n, K)
     if n > max_n:
         raise ValueError(f"brute force refuses n={n} > {max_n}")
     labelings = _balanced_labelings(n, K)

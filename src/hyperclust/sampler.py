@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Hypergraph
+from .core import Assignment, Hypergraph, check_divides, seeded_rng
 
 __all__ = [
     "ModelParams",
@@ -27,10 +27,20 @@ __all__ = [
     "uniformize",
 ]
 
-_MASK64 = (1 << 64) - 1
 # pools smaller than this may be enumerated outright when the requested
 # count is a large fraction of the pool (avoids coupon-collector stalls)
 _ENUMERATION_LIMIT = 2_000_000
+
+
+def _check_model_shape(n, d, K):
+    """Checks that both parametrizations share: n nodes, order d, K | n."""
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
+    if d < 2:
+        raise ValueError("hyperedge order must be >= 2")
+    if K < 2:
+        raise ValueError("need at least 2 communities")
+    check_divides(n, K)
 
 
 @dataclass(frozen=True)
@@ -49,14 +59,7 @@ class ModelParams:
     q: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
-        if self.d < 2:
-            raise ValueError("hyperedge order must be >= 2")
-        if self.K < 2:
-            raise ValueError("need at least 2 communities")
-        if self.n % self.K:
-            raise ValueError(f"K={self.K} must divide n={self.n}")
+        _check_model_shape(self.n, self.d, self.K)
         for name, value in (("p", self.p), ("q", self.q)):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name}={value} outside [0, 1]")
@@ -77,14 +80,7 @@ class LogRegimeParams:
     beta: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
-        if self.d < 2:
-            raise ValueError("hyperedge order must be >= 2")
-        if self.K < 2:
-            raise ValueError("need at least 2 communities")
-        if self.n % self.K:
-            raise ValueError(f"K={self.K} must divide n={self.n}")
+        _check_model_shape(self.n, self.d, self.K)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
 
@@ -112,8 +108,7 @@ def pool_sizes(n: int, d: int, K: int) -> tuple[int, int]:
     Exact big-integer combinatorics: the first component is K * C(n/K, d)
     and the two components always sum to C(n, d).
     """
-    if K < 1 or n < 1 or n % K:
-        raise ValueError(f"K={K} must divide n={n}")
+    check_divides(n, K)
     m = n // K
     if d > m:
         raise ValueError(f"degenerate model: d={d} exceeds community size m={m}")
@@ -133,7 +128,7 @@ def sample(params: ModelParams, ground_truth: Assignment, seed: int) -> Hypergra
     if not ground_truth.is_balanced:
         raise ValueError("ground truth must be balanced")
     same_pool, cross_pool = pool_sizes(n, d, K)
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = seeded_rng(seed)
     n_same = int(rng.binomial(same_pool, params.p)) if params.p > 0 else 0
     n_cross = int(rng.binomial(cross_pool, params.q)) if params.q > 0 else 0
 
@@ -146,8 +141,6 @@ def sample(params: ModelParams, ground_truth: Assignment, seed: int) -> Hypergra
     edges: set[tuple] = set()
     _draw_same(rng, n_same, same_pool, cluster_nodes, d, edges)
     _draw_cross(rng, n_cross, cross_pool, labels, n, d, edges)
-    if not edges:
-        return Hypergraph(n, d, np.empty((0, d), dtype=np.int64))
     return Hypergraph(n, d, np.array(sorted(edges), dtype=np.int64))
 
 
@@ -226,22 +219,17 @@ def uniformize(subsets, d0: int, n: int) -> tuple[Hypergraph, tuple[int, ...]]:
     """
     if d0 < 2:
         raise ValueError("d0 must be >= 2")
-    rows = []
+    rows = set()
     padded = False
     for subset in subsets:
         t = tuple(sorted(int(x) for x in subset))
-        if len(set(t)) != len(t):
-            raise ValueError(f"subset {tuple(subset)} has repeated members")
         if not (2 <= len(t) <= d0):
             raise ValueError(f"subset size {len(t)} outside [2, {d0}]")
-        if t[0] < 0 or t[-1] >= n:
+        if t[-1] >= n:
             raise ValueError("node id out of range")
         if len(t) < d0:
             t = t + tuple(n + j - 3 for j in range(len(t) + 1, d0 + 1))
             padded = True
-        rows.append(t)
-    if not padded:
-        return Hypergraph.from_edge_list(n, d0, sorted(set(rows))), ()
-    dummy_ids = tuple(range(n, n + d0 - 2))
-    total = n + d0 - 2
-    return Hypergraph.from_edge_list(total, d0, sorted(set(rows))), dummy_ids
+        rows.add(t)
+    dummy_ids = tuple(range(n, n + d0 - 2)) if padded else ()
+    return Hypergraph(n + len(dummy_ids), d0, list(rows)), dummy_ids

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Hypergraph, multilinear_score, objective
+from .core import (
+    Assignment,
+    Hypergraph,
+    check_covers,
+    check_divides,
+    multilinear_score,
+    objective,
+)
 from .metrics import align_and_distance
 from .projection import project_balanced
 
@@ -70,16 +77,14 @@ def ptpm(
     to the lowest cluster.  ``truth`` may cover all nodes or the real nodes
     only; when given, aligned distances are recorded on the real nodes.
     """
-    if h0.n != g.n:
-        raise ValueError(f"initial labeling covers {h0.n} nodes, hypergraph has {g.n}")
+    check_covers(g, h0)
     K = h0.K
     dummy = np.array(sorted(set(int(x) for x in dummy_ids)), dtype=np.int64)
     if dummy.size and (dummy.min() < 0 or dummy.max() >= g.n):
         raise ValueError("dummy id out of range")
     real = np.setdiff1d(np.arange(g.n), dummy)
     n_real = int(real.size)
-    if n_real % K:
-        raise ValueError(f"K={K} must divide the real node count {n_real}")
+    check_divides(n_real, K)
     if max_iters is None:
         max_iters = theoretical_iteration_budget(n_real)
     if max_iters < 0:

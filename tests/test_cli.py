@@ -178,3 +178,28 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     )
     with open(out_path) as f:
         assert len(list(csv.DictReader(f))) == 2
+
+
+def test_config_file_value_types(tmp_path, capsys):
+    g_path = str(tmp_path / "g.txt")
+    run(capsys, "sample", "--n", "30", "--d", "3", "--k", "2",
+        "--alpha", "45", "--beta", "2", "--seed", "3", "--out", g_path)
+    cfg = tmp_path / "solve.cfg"
+    # "false" is a non-empty string: it must still read as false
+    cfg.write_text(f"graph = {g_path}\nk = 2\nmax_iters = 20\nno_early_stop = false\n")
+    out = run(capsys, "solve", "--config", str(cfg))
+    assert "fixed_point=1" in out
+    assert int(out.split("iterations=")[1].split()[0]) < 20
+    cfg.write_text(f"graph = {g_path}\nk = 2\nmax_iters = 3\nno_early_stop = true\n")
+    out = run(capsys, "solve", "--config", str(cfg))
+    assert "iterations=3 fixed_point=0" in out
+
+
+def test_zero_clusters_exit_cleanly(tmp_path, capsys):
+    g_path = str(tmp_path / "g.txt")
+    run(capsys, "sample", "--n", "12", "--d", "3", "--k", "2",
+        "--alpha", "45", "--beta", "2", "--out", g_path)
+    for init in ("random", "spectral"):
+        code = main(["solve", "--graph", g_path, "--k", "0", "--init", init])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

@@ -223,3 +223,13 @@ def test_read_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_assignment(empty)
+
+
+def test_from_edge_list_rejects_wrong_arity():
+    # six ids in 2-sets: a flat reshape to 3 columns would accept them
+    with pytest.raises(ValueError):
+        Hypergraph.from_edge_list(4, 3, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        Hypergraph.from_edge_list(4, 3, [(0, 1, 2), (1, 2)])
+    with pytest.raises(ValueError):
+        Hypergraph.from_edge_list(5, 3, [(0, 1, 2, 3)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hyperclust.core import Assignment, Hypergraph
-from hyperclust.experiments import block_truth
+from hyperclust.experiments import block_truth, shuffled_truth
 from hyperclust.initializers import (
     EigensolverError,
     _top_eigenvectors,
@@ -164,3 +164,26 @@ def test_corrupt_max_swaps_k2():
     h = corrupt(truth, 4, 11)
     assert h.is_balanced
     assert unaligned_distance(h, truth) == pytest.approx(4.0)
+
+
+def test_corrupt_rejects_swaps_with_one_cluster():
+    # K=1 has no cross-cluster pair to exchange; this must fail, not spin
+    truth = Assignment(np.zeros(6, dtype=np.int64), 1, balanced=True)
+    with pytest.raises(ValueError):
+        corrupt(truth, 1, 0)
+    assert corrupt(truth, 0, 0).labels.tolist() == [0] * 6
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_init(6, 0, 1),
+        lambda: spectral_init(Hypergraph.from_edge_list(6, 3, [(0, 1, 2)]), 0, 1),
+        lambda: block_truth(6, 0),
+        lambda: shuffled_truth(6, 0, 1),
+    ],
+    ids=["random_init", "spectral_init", "block_truth", "shuffled_truth"],
+)
+def test_zero_clusters_rejected(call):
+    with pytest.raises(ValueError):
+        call()
