@@ -49,7 +49,12 @@ def random_init(n: int, K: int, seed: int) -> Assignment:
 
 
 def similarity_matrix(g: Hypergraph) -> np.ndarray:
-    """W[i, j] = number of hyperedges containing both i and j; zero diagonal."""
+    """W[i, j] = number of hyperedges containing both i and j; zero diagonal.
+
+    The int64 reference for the co-occurrence matrix.  ``spectral_init``
+    does not call it: it builds its shifted float64 operator straight from
+    the edge list (``_spectral_operator``).
+    """
     W = np.zeros((g.n, g.n), dtype=np.int64)
     for a in range(g.d):
         for b in range(a + 1, g.d):
@@ -70,9 +75,9 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     """
     check_divides(g.n, K)
     rng = seeded_rng(seed)
-    W = similarity_matrix(g)
+    M, shift = _spectral_operator(g)
     try:
-        vecs = _top_eigenvectors(W, K, rng)
+        vecs = _top_eigenvectors(M, K, rng, scale=shift)
     except EigensolverError as err:
         if strict:
             raise
@@ -120,26 +125,48 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     return Assignment(labels, K, balanced=True)
 
 
-def _top_eigenvectors(W, K, rng, tol=1e-8, max_iter=1000):
-    """Orthogonal (block power) iteration for the top-K eigenvectors.
+def _spectral_operator(g):
+    """The co-occurrence matrix shifted by its maximum row sum: M = W + shift*I.
 
-    W is shifted by (max row sum) * I so the spectrum is nonnegative and the
-    algebraically largest eigenvalues dominate in magnitude.  Convergence is
-    declared when the invariant-subspace residual ||M Q - Q (Q^T M Q)||_F
-    drops below ``tol`` relative to the shift scale.
+    Built as float64 straight from the edge list, with one ``bincount`` over
+    the keys i*n + j of every ordered member pair, so the spectral path
+    holds a single n x n array.  Row i of W sums to (d-1) * degree(i), so
+    the shift is (d-1) times the maximum degree, at least 1.0; it makes the
+    spectrum nonnegative, so the algebraically largest eigenvalues of W
+    dominate M in magnitude.  The entries are small integers, so M equals
+    ``similarity_matrix(g) + shift*I`` exactly.
     """
-    n = W.shape[0]
-    shift = max(float(W.sum(axis=1).max(initial=0)), 1.0)
-    M = W.astype(np.float64)
-    M[np.diag_indices(n)] += shift
-    Q, _ = np.linalg.qr(rng.standard_normal((n, K)))
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        Z = M @ Q
-        Q, _ = np.linalg.qr(Z)
+    n, edges = g.n, g.edges
+    degree = np.bincount(edges.ravel(), minlength=n)
+    shift = max(float((g.d - 1) * degree.max(initial=0)), 1.0)
+    a, b = np.nonzero(~np.eye(g.d, dtype=bool))  # every ordered member pair
+    keys = (edges[:, a] * n + edges[:, b]).ravel()
+    M = np.bincount(keys, weights=np.ones(keys.size), minlength=n * n)
+    M = M.astype(np.float64, copy=False).reshape(n, n)  # int64 when there are no edges
+    M[np.diag_indices(n)] = shift
+    return M, shift
+
+
+def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
+    """Orthogonal (block power) iteration for the top-K eigenvectors of M.
+
+    M must have a nonnegative spectrum, so that its largest eigenvalues
+    dominate in magnitude (``spectral_init`` passes ``_spectral_operator``'s
+    W + shift*I and the shift as ``scale``).  Each step computes one product
+    M @ Q: it gives the invariant-subspace residual
+    ||M Q - Q (Q^T M Q)||_F of the current basis, and its QR factor is the
+    next basis.  Convergence is declared when the residual drops below
+    ``tol`` relative to ``scale``.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    Q, _ = np.linalg.qr(rng.standard_normal((M.shape[0], K)))
+    MQ = M @ Q
+    for _ in range(max_iter):
+        Q, _ = np.linalg.qr(MQ)
         MQ = M @ Q
         B = Q.T @ MQ
-        residual = float(np.linalg.norm(MQ - Q @ B) / shift)
+        residual = float(np.linalg.norm(MQ - Q @ B) / scale)
         if residual <= tol:
             _, V = np.linalg.eigh(B)
             return Q @ V[:, ::-1]  # descending eigenvalue order
