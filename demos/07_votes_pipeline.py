@@ -13,6 +13,7 @@ same format demonstrates the pipeline.
 """
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,21 +38,22 @@ if not real:
     candidate = Path(__file__).resolve().parent.parent / "data" / "house-votes-84.data"
     real = str(candidate) if candidate.exists() else None
 
-if real:
-    data, per_party, label = real, 168, "house-votes-84"
-else:
-    data = synthetic_votes(Path("/tmp/synthetic-votes.data"))
-    per_party, label = 60, "synthetic electorate"
-    print("real voting file not found; falling back to a synthetic one\n")
+with tempfile.TemporaryDirectory() as tmp:
+    if real:
+        data, per_party, label = real, 168, "house-votes-84"
+    else:
+        data = synthetic_votes(Path(tmp) / "synthetic-votes.data")
+        per_party, label = 60, "synthetic electorate"
+        print("real voting file not found; falling back to a synthetic one\n")
 
-g, truth, row = uci_votes_pipeline(
-    data,
-    columns=(4, 5, 12, 15),
-    edge_prob=0.05,
-    seed=1,
-    restarts=10,
-    per_party=per_party,
-)
+    g, truth, row = uci_votes_pipeline(
+        data,
+        columns=(4, 5, 12, 15),
+        edge_prob=0.05,
+        seed=1,
+        restarts=10,
+        per_party=per_party,
+    )
 print(f"dataset: {label} ({2 * per_party} members)")
 print(f"hyperedges: {g.num_edges}")
 print(f"misclassification rate: {row.misclassification:.3f}")

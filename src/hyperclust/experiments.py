@@ -391,6 +391,8 @@ def votes_hypergraph(votes, columns, edge_prob, seed) -> Hypergraph:
     kept independently with probability ``edge_prob``, and triples drawn
     for several issues appear once.
     """
+    if not (0.0 <= edge_prob <= 1.0):
+        raise ValueError(f"edge_prob={edge_prob} outside [0, 1]")
     n = votes.shape[0]
     for c in columns:
         if not (1 <= c <= votes.shape[1]):

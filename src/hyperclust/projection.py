@@ -6,30 +6,25 @@ norm, because the norm of every one-hot balanced matrix is the same.
 
 Ties are resolved deterministically: among all optimal assignments the
 lexicographically smallest label sequence is returned (node order first,
-then cluster order).  That optimum is unique, and every route below returns
-it exactly:
+then cluster order).  That optimum is unique, and one algorithm returns it
+for every input:
 
-* **Balanced argmax** (integer input).  Each row's argmax, ties to the
-  lowest cluster, reaches the row-wise upper bound; if it is balanced,
-  every optimum picks a row maximum in every row, so this labeling is the
-  coordinatewise smallest optimum.
-* **K = 2 closed form** (integer input).  Label 0 goes to the m rows with
-  the smallest ``C[:, 1] - C[:, 0]``; a stable sort sends boundary ties to
-  the lowest node ids.
-* **Excess-only routing** (otherwise).  A transportation problem (n unit
-  sources, K sinks of capacity n/K) solved by successive shortest
-  augmenting paths over the cluster graph with dual potentials.  Every row
-  starts at its argmax with zero potentials, which is dual feasible; each
-  cluster keeps up to n/K of its rows and only the overflow is inserted
-  along shortest paths, O(K^2 log n) each.  The lexicographically smallest
-  optimum is then read off the optimal duals: an assignment is optimal iff
-  it is feasible and supported on arcs with zero reduced cost, so a greedy
-  pass over the rows with two or more such arcs, with a reroute check over
-  the K x K graph of those arcs, finalizes the canonical optimum.
+1. Every row starts at its argmax, ties to the lowest cluster, with zero
+   column potentials, which is dual feasible.
+2. :func:`_transport` solves the transportation problem (n unit sources,
+   K sinks of capacity n/K): each cluster keeps up to n/K of its rows and
+   only the overflow is inserted, along shortest augmenting paths over the
+   cluster graph with dual potentials, O(K^2 log n) each.  A balanced start
+   has no overflow and is returned as it is.
+3. :func:`_lex_min_over_ties` reads the lexicographically smallest optimum
+   off the optimal duals: an assignment is optimal iff it is feasible and
+   supported on arcs with zero reduced cost, so a greedy pass over the rows
+   with two or more such arcs, with a reroute check over the K x K graph of
+   those arcs, finalizes the canonical optimum.
 
 Integer score matrices are handled in exact integer arithmetic; float ones
 treat reduced costs within a tolerance relative to the matrix scale as
-ties, and always take the routing path.
+ties.
 """
 
 from __future__ import annotations
@@ -75,37 +70,24 @@ def project_balanced(scores) -> Assignment:
         raise ValueError("score matrix must be 2-dimensional")
     n, K = C.shape
     check_divides(n, K)
-    integer_mode = np.issubdtype(C.dtype, np.integer)
-    if not integer_mode:
+    if np.issubdtype(C.dtype, np.integer):
+        # checked before the cast, which would wrap large unsigned entries
+        if max(-int(C.min()), int(C.max())) >= _INT_LIMIT:
+            raise ValueError("integer score entries must lie strictly within +-2**60")
+        C = C.astype(np.int64)
+        tol = 0
+    else:
         if not np.isfinite(C).all():
             raise ValueError("score matrix contains NaN or infinite entries")
         C = C.astype(np.float64)
-    else:
-        C = C.astype(np.int64)
-        if max(-int(C.min()), int(C.max())) >= _INT_LIMIT:
-            raise ValueError("integer score entries must lie strictly within +-2**60")
-    if K == 1:
-        return Assignment(np.zeros(n, dtype=np.int64), 1, balanced=True)
-
-    m = n // K
-    top = np.argmax(C, axis=1)  # ties to the lowest cluster
-    if integer_mode:
-        if np.all(np.bincount(top, minlength=K) == m):
-            return Assignment(top, K, balanced=True)
-        if K == 2:
-            labels = np.ones(n, dtype=np.int64)
-            labels[np.argsort(C[:, 1] - C[:, 0], kind="stable")[:m]] = 0
-            return Assignment(labels, K, balanced=True)
-        tol = 0
-    else:
         # relative to the matrix scale: an absolute floor would swallow
         # genuine gaps in small-magnitude matrices
         tol = _FLOAT_TIE_TOL * float(np.abs(C).max())
     # transportation costs: minimize -scores
     cost = -C
-    assign, v = _transport(cost, top, m)
-    labels = _lex_min_over_ties(cost, assign, v, tol)
-    return Assignment(np.array(labels, dtype=np.int64), K, balanced=True)
+    top = np.argmax(C, axis=1)  # ties to the lowest cluster
+    assign, v = _transport(cost, top, n // K)
+    return Assignment(_lex_min_over_ties(cost, assign, v, tol), K, balanced=True)
 
 
 def brute_force_projection(scores, max_n: int = 12) -> Assignment:
@@ -168,10 +150,13 @@ def _transport(cost, start, m):
     each column keeps its first m such rows by id, and only the overflow
     rows are inserted, one at a time along a shortest augmenting path in
     the residual cluster graph (Dijkstra over K vertices; arc k->l realized
-    by the cheapest relocatable row of column k, tracked in lazy heaps).
+    by the cheapest relocatable row of column k, tracked in lazy heaps).  A
+    start without overflow is optimal as it is and is returned at once.
     """
     n, K = cost.shape
     v = [0] * K
+    if np.bincount(start, minlength=K).max() <= m:
+        return start, v  # balanced start: nothing to route
     assign = start.copy()
     # heaps[k][l]: (cost[j][l] - cost[j][k], j) over rows j assigned to k;
     # a sorted list is a valid heap
@@ -263,14 +248,14 @@ def _lex_min_over_ties(cost, assign, v, tol):
     """
     n, K = cost.shape
     v = np.asarray(v)
-    cur = list(assign)
     col = np.asarray(assign)
     u = cost[np.arange(n), col] - v[col]
     tight = cost - u[:, None] - v[None, :] <= tol
     n_opts = tight.sum(axis=1)
     tied = np.flatnonzero(n_opts > 1)
     if not tied.size:
-        return cur  # unique support: nothing to break
+        return col  # unique support: nothing to break
+    cur = col.tolist()
     ks = np.nonzero(tight[tied])[1].tolist()
     ends = np.cumsum(n_opts[tied]).tolist()
     opts = {}  # tied node -> its tight clusters, ascending; in node order

@@ -2,10 +2,11 @@
 
 Every d-subset of nodes becomes a hyperedge independently: with probability
 ``p`` when all d members share the planted community and with probability
-``q`` otherwise.  Sampling never enumerates the full subset pool; it draws
-Binomial counts for the two pools and then fills them with uniformly chosen
-distinct subsets (rejection with a dedup set, switching to explicit
-enumeration only when a pool is nearly exhausted).
+``q`` otherwise.  Sampling draws Binomial counts for the monochromatic and
+cross pools and fills each with uniformly chosen distinct subsets through
+one drawer: each pool supplies its own batch proposal, filtered by rejection
+against a dedup set, and its own enumeration, listed only when the pool is
+nearly exhausted.
 """
 
 from __future__ import annotations
@@ -138,65 +139,56 @@ def sample(params: ModelParams, ground_truth: Assignment, seed: int) -> Hypergra
     for k in range(K):
         cluster_nodes[k] = np.flatnonzero(labels == k)
 
-    edges: set[tuple] = set()
-    _draw_same(rng, n_same, same_pool, cluster_nodes, d, edges)
-    _draw_cross(rng, n_cross, cross_pool, labels, n, d, edges)
-    return Hypergraph(n, d, np.array(sorted(edges), dtype=np.int64))
-
-
-def _draw_same(rng, count, pool, cluster_nodes, d, edges):
-    if count == 0:
-        return
-    K, m = cluster_nodes.shape
-    if count * 2 > pool and pool <= _ENUMERATION_LIMIT:
-        # nearly exhausted pool: enumerate and subsample without replacement
-        all_subsets = [
-            tuple(cluster_nodes[k][list(c)])
-            for k in range(K)
-            for c in itertools.combinations(range(m), d)
-        ]
-        idx = rng.choice(pool, size=count, replace=False)
-        edges.update(all_subsets[i] for i in sorted(idx.tolist()))
-        return
-    need = count
-    while need > 0:
-        batch = max(64, int(need * 1.3))
+    def propose_same(batch):
         ks = rng.integers(0, K, size=batch)
         locs = np.sort(rng.integers(0, m, size=(batch, d)), axis=1)
         distinct = np.all(np.diff(locs, axis=1) > 0, axis=1)
-        cand = np.take_along_axis(cluster_nodes[ks], locs, axis=1)
-        for row, ok in zip(cand.tolist(), distinct.tolist()):
-            if not ok:
-                continue
-            t = tuple(row)
-            if t not in edges:
-                edges.add(t)
-                need -= 1
-                if need == 0:
-                    break
+        return np.take_along_axis(cluster_nodes[ks], locs, axis=1), distinct
+
+    def propose_cross(batch):
+        cand = np.sort(rng.integers(0, n, size=(batch, d)), axis=1)
+        distinct = np.all(np.diff(cand, axis=1) > 0, axis=1)
+        lab = labels[cand]
+        return cand, distinct & ~np.all(lab == lab[:, :1], axis=1)
+
+    # generators: a pool is listed only when it is nearly exhausted
+    same_subsets = (
+        tuple(nodes[list(c)].tolist())
+        for nodes in cluster_nodes
+        for c in itertools.combinations(range(m), d)
+    )
+    cross_subsets = (
+        c
+        for c in itertools.combinations(range(n), d)
+        if not np.all(labels[list(c)] == labels[c[0]])
+    )
+
+    edges: set[tuple] = set()
+    _draw(rng, n_same, same_pool, propose_same, same_subsets, edges)
+    _draw(rng, n_cross, cross_pool, propose_cross, cross_subsets, edges)
+    return Hypergraph(n, d, np.array(sorted(edges), dtype=np.int64))
 
 
-def _draw_cross(rng, count, pool, labels, n, d, edges):
+def _draw(rng, count, pool, propose, subsets, edges):
+    """Add ``count`` distinct subsets of one pool to ``edges``.
+
+    ``propose(batch)`` draws ``batch`` candidate rows, each sorted ascending,
+    with a mask of those that lie in the pool; ``subsets`` yields the whole
+    pool in a fixed order.  A nearly exhausted pool is enumerated and
+    subsampled without replacement; otherwise candidates are drawn in
+    batches and kept when the mask allows and the subset is new.
+    """
     if count == 0:
         return
     if count * 2 > pool and pool <= _ENUMERATION_LIMIT:
-        all_subsets = [
-            c
-            for c in itertools.combinations(range(n), d)
-            if not np.all(labels[list(c)] == labels[c[0]])
-        ]
+        all_subsets = list(subsets)
         idx = rng.choice(pool, size=count, replace=False)
         edges.update(all_subsets[i] for i in sorted(idx.tolist()))
         return
     need = count
     while need > 0:
-        batch = max(64, int(need * 1.3))
-        cand = np.sort(rng.integers(0, n, size=(batch, d)), axis=1)
-        distinct = np.all(np.diff(cand, axis=1) > 0, axis=1)
-        lab = labels[cand]
-        mono = np.all(lab == lab[:, :1], axis=1)
-        keep = distinct & ~mono
-        for row, ok in zip(cand.tolist(), keep.tolist()):
+        cand, valid = propose(max(64, int(need * 1.3)))
+        for row, ok in zip(cand.tolist(), valid.tolist()):
             if not ok:
                 continue
             t = tuple(row)

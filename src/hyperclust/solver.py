@@ -93,12 +93,9 @@ def ptpm(
         raise ValueError("truth must cover all nodes or the real nodes only")
 
     def project_step(C):
-        if dummy.size == 0:
-            return project_balanced(C)
-        labels = np.empty(g.n, dtype=np.int64)
+        labels = np.argmax(C, axis=1)  # ties to the lowest cluster; kept on padding
         labels[real] = project_balanced(C[real]).labels
-        labels[dummy] = np.argmax(C[dummy], axis=1)  # ties to lowest cluster
-        return Assignment(labels, K)
+        return Assignment(labels, K, balanced=not dummy.size)
 
     def measure(iteration, a, wall_ms):
         dist = None

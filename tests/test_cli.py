@@ -129,6 +129,16 @@ def test_uci_subcommand(tmp_path, capsys):
     assert "misclassification=" in out
 
 
+def test_uci_edge_prob_outside_unit_interval_exits_cleanly(tmp_path, capsys):
+    votes = tmp_path / "votes.data"
+    rows = [["republican"] + ["y"] * 16] * 4 + [["democrat"] + ["n"] * 16] * 4
+    votes.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    for bad in ("1.5", "-0.5"):
+        code = main(["uci", "--data", str(votes), "--per-party", "4", "--edge-prob", bad])
+        assert code == 2
+        assert "error: edge_prob" in capsys.readouterr().err
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 12\nd = 2\nk = 2\np = 1.0\nq = 0.0\n# comment\n")

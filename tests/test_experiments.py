@@ -290,6 +290,19 @@ def test_votes_dedup_across_issues(tmp_path):
     assert g.num_edges == 20  # both issues generate the same triples
 
 
+def test_votes_edge_prob_outside_unit_interval_is_rejected(tmp_path):
+    path = synthetic_votes(tmp_path / "votes.data", per_party=10)
+    votes, _ = load_votes(path, per_party=10)
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="edge_prob"):
+            votes_hypergraph(votes, (1, 2), bad, 0)
+        with pytest.raises(ValueError, match="edge_prob"):
+            uci_votes_pipeline(path, edge_prob=bad, seed=1, per_party=10)
+    # both ends of [0, 1] stay valid
+    assert votes_hypergraph(votes, (1,), 0.0, 0).num_edges == 0
+    assert votes_hypergraph(votes, (1,), 1.0, 0).num_edges > 0
+
+
 def test_votes_pipeline_zero_edge_prob(tmp_path):
     path = synthetic_votes(tmp_path / "votes.data", per_party=10)
     with pytest.warns(UserWarning):

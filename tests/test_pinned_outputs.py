@@ -64,6 +64,21 @@ def test_sample_edges_are_pinned(seed):
     assert digest(g.edges.tobytes()) == SAMPLE_DIGESTS[seed]
 
 
+# Both pools nearly exhausted (count * 2 > pool), so both are enumerated
+# rather than filled by rejection.
+ENUMERATED_SAMPLE_DIGESTS = {0: "e6c0f2e2ed28f70a", 1: "f1d2fe72358cec61", 2: "d6c344337097d838"}
+
+
+@pytest.mark.parametrize("seed", sorted(ENUMERATED_SAMPLE_DIGESTS))
+def test_enumerated_sample_edges_are_pinned(seed):
+    truth = Assignment(np.repeat(np.arange(2), 6), 2, balanced=True)
+    g = sample(ModelParams(12, 3, 2, 0.9, 0.7), truth, seed)
+    lab = truth.labels[g.edges]
+    n_same = int(np.all(lab == lab[:, :1], axis=1).sum())
+    assert 2 * n_same > 40 and 2 * (g.num_edges - n_same) > 180  # pools 40 and 180
+    assert digest(g.edges.tobytes()) == ENUMERATED_SAMPLE_DIGESTS[seed]
+
+
 def test_votes_hypergraph_edges_are_pinned():
     rng = np.random.default_rng(4)
     votes = rng.choice(np.array(["y", "n", "?"]), size=(24, 16), p=[0.45, 0.45, 0.1])

@@ -81,9 +81,27 @@ def test_integer_entries_near_the_limit_stay_exact():
         assert project_balanced(C).labels.tolist() == slow.labels.tolist()
 
 
+def test_unsigned_entries_are_range_checked_before_the_cast():
+    # as int64, 2**64 - 1 would wrap to -1 and send row 0 off its maximum
+    for big in (2**64 - 1, 2**63, 2**60):
+        C = np.array([[big, 0], [5, 0], [0, 0], [0, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError):
+            project_balanced(C)
+    C = np.array([[2**60 - 1, 0], [5, 0], [0, 0], [0, 0]], dtype=np.uint64)
+    assert project_balanced(C).labels.tolist() == [0, 0, 1, 1]
+    rng = np.random.default_rng(57)
+    for _ in range(100):
+        n, K = _oracle_shapes(rng)
+        C = rng.integers(0, 4, size=(n, K)).astype(np.uint8)
+        slow = brute_force_projection(C.astype(np.int64))
+        assert project_balanced(C).labels.tolist() == slow.labels.tolist()
+
+
 def test_single_cluster_is_trivial():
     out = project_balanced(np.zeros((3, 1)))
     assert out.labels.tolist() == [0, 0, 0]
+    out = project_balanced(np.array([[5], [-3], [0], [2**59]]))
+    assert out.labels.tolist() == [0, 0, 0, 0]
 
 
 # --- randomized optimality against the oracle ---

@@ -213,3 +213,36 @@ def test_trajectories_are_pinned(K, start):
     records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
     blob = json.dumps([report.final.labels.tolist(), records])
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == TRAJECTORY_DIGESTS[K, start]
+
+
+def _padded_planted(n, K, d0, rng):
+    """Planted partition with edges of every size 2..d0, padded to order d0."""
+    labels = rng.permutation(np.repeat(np.arange(K), n // K))
+    subsets = []
+    for size in range(2, d0 + 1):
+        for _ in range(n):
+            c = rng.choice(n, size, replace=False)
+            if rng.random() < 0.6:
+                c = rng.choice(np.flatnonzero(labels == labels[c[0]]), size, replace=False)
+            subsets.append(tuple(c.tolist()))
+    g, dummies = uniformize(subsets, d0, n)
+    return g, dummies, Assignment(labels, K, balanced=True)
+
+
+# Final labels and every (iteration, objective, distance) record on inputs
+# with padding nodes, as the solver produced them before its projection step
+# lost its separate branch for padding.
+PADDED_DIGESTS = {(2, 3, 1): "cadcef8abc070c78", (3, 4, 7): "f33316d02015b0f4"}
+
+
+@pytest.mark.parametrize("K, d0, seed", sorted(PADDED_DIGESTS))
+def test_padded_trajectories_are_pinned(K, d0, seed):
+    n = 60
+    g, dummies, truth = _padded_planted(n, K, d0, np.random.default_rng([seed, K]))
+    assert len(dummies) == d0 - 2
+    start = np.concatenate([random_init(n, K, seed=3).labels, np.zeros(len(dummies), dtype=np.int64)])
+    report = ptpm(g, Assignment(start, K), truth=truth, dummy_ids=dummies)
+    assert not report.final.balanced and Assignment(report.final.labels[:n], K).is_balanced
+    records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
+    blob = json.dumps([report.final.labels.tolist(), records])
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PADDED_DIGESTS[K, d0, seed]
