@@ -165,24 +165,30 @@ class Assignment:
 
 
 def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
-    """Score every (node, cluster) pair by sweeping the edge list.
+    """Score every (node, cluster) pair with one pass over the edge list.
 
     Returns the integer n x K matrix whose (i, k) entry equals (d-1)! times
     the number of hyperedges containing node i whose remaining d-1 members
     all carry label k.  Equivalent to contracting each of the d-1 trailing
     modes of the implicit adjacency tensor with the one-hot label matrix,
-    but linear in the edge count (one vectorized sweep per member position)
-    instead of touching n^d entries.
+    but linear in the edge count instead of touching n^d entries: for each
+    member position j, every edge whose other d-1 labels agree on a label k
+    contributes the key ``node * K + k`` of its j-th member, and a single
+    ``np.bincount`` over all the keys counts every (node, cluster) pair.
     """
     check_covers(g, h)
-    scores = np.zeros((g.n, h.K), dtype=np.int64)
-    fact = math.factorial(g.d - 1)
+    K, d = h.K, g.d
     edge_labels = h.labels[g.edges]  # (E, d)
-    for j in range(g.d):
-        others = np.delete(edge_labels, j, axis=1)
-        uniform = np.all(others == others[:, :1], axis=1)
-        np.add.at(scores, (g.edges[uniform, j], others[uniform, 0]), fact)
-    return scores
+    keys = []
+    for j in range(d):
+        others = [i for i in range(d) if i != j]
+        label = edge_labels[:, others[0]]
+        ok = np.ones(g.num_edges, dtype=bool)
+        for i in others[1:]:
+            ok &= edge_labels[:, i] == label
+        keys.append(g.edges[ok, j] * K + label[ok])
+    counts = np.bincount(np.concatenate(keys), minlength=g.n * K)
+    return counts.reshape(g.n, K) * math.factorial(d - 1)
 
 
 def dense_multilinear_oracle(g: Hypergraph, h: Assignment, max_n: int = 10) -> np.ndarray:

@@ -4,13 +4,20 @@ Each step scores every (node, cluster) pair with a pass over the edge list
 and projects the score matrix back onto balanced assignments.  The map is
 deterministic (the projection breaks ties canonically), so a repeated
 iterate is a genuine fixed point and iteration can stop there.
+
+The trajectory's objectives come from the score matrices the iteration
+computes anyway: summing, over the nodes, the score of each node's own
+cluster gives d! times the monochromatic edge count of the labeling just
+scored.  Only an iterate that no later step scores (the last one of a run
+that stops on its budget, or the start when no step runs) is counted
+separately, with :func:`objective`.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,12 +37,16 @@ __all__ = ["TraceRecord", "SolveReport", "ptpm", "theoretical_iteration_budget"]
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One trajectory point; ``iteration`` 0 is the balanced starting point."""
+    """One trajectory point; ``iteration`` 0 is the balanced starting point.
+
+    ``changed`` counts the labels this iteration moved (0 for the start).
+    """
 
     iteration: int
     objective: int
     distance: float | None
     wall_ms: float
+    changed: int = 0
 
 
 @dataclass
@@ -76,6 +87,12 @@ def ptpm(
     constraint; their labels are refreshed by a plain row argmax with ties
     to the lowest cluster.  ``truth`` may cover all nodes or the real nodes
     only; when given, aligned distances are recorded on the real nodes.
+
+    Each recorded objective is read off the score matrix of the following
+    step, which scores that iterate: the sum over nodes of the score of the
+    node's own cluster.  A repeated iterate reuses its predecessor's, and
+    :func:`objective` is called at most once per solve, for a last iterate
+    that no step scored.
     """
     check_covers(g, h0)
     K = h0.K
@@ -93,37 +110,46 @@ def ptpm(
         raise ValueError("truth must cover all nodes or the real nodes only")
 
     def project_step(C):
-        labels = np.argmax(C, axis=1)  # ties to the lowest cluster; kept on padding
+        labels = np.empty(g.n, dtype=np.int64)
+        labels[dummy] = np.argmax(C[dummy], axis=1)  # ties to the lowest cluster
         labels[real] = project_balanced(C[real]).labels
         return Assignment(labels, K, balanced=not dummy.size)
 
-    def measure(iteration, a, wall_ms):
+    def measure(iteration, a, wall_ms, changed, obj=None):
+        # obj stays None until a later step scores this iterate
         dist = None
         if truth is not None:
             cand = a if truth.n == g.n else Assignment(a.labels[real], K)
             _, dist = align_and_distance(cand, truth)
-        return TraceRecord(iteration, objective(g, a), dist, wall_ms)
+        return TraceRecord(iteration, obj, dist, wall_ms, changed)
 
     t0 = time.perf_counter()
     current = project_step(h0.one_hot())
     records = []
     if record_trajectory:
-        records.append(measure(0, current, (time.perf_counter() - t0) * 1e3))
+        records.append(measure(0, current, (time.perf_counter() - t0) * 1e3, 0))
 
+    nodes = np.arange(g.n)
     iterations_run = 0
     converged = False
     for t in range(1, max_iters + 1):
         t0 = time.perf_counter()
         scores = multilinear_score(g, current)
+        if record_trajectory:
+            obj = int(scores[nodes, current.labels].sum())  # d! x monochromatic edges
+            records[-1] = replace(records[-1], objective=obj)
         nxt = project_step(scores)
         iterations_run = t
-        unchanged = bool(np.array_equal(nxt.labels, current.labels))
+        changed = int(np.count_nonzero(nxt.labels != current.labels))
         current = nxt
         if record_trajectory:
-            records.append(measure(t, current, (time.perf_counter() - t0) * 1e3))
-        if early_stop and unchanged:
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            records.append(measure(t, current, wall_ms, changed, None if changed else obj))
+        if early_stop and not changed:
             converged = True
             break
+    if record_trajectory and records[-1].objective is None:
+        records[-1] = replace(records[-1], objective=objective(g, current))
     return SolveReport(
         final=current,
         iterations_run=iterations_run,

@@ -184,6 +184,77 @@ def test_label_permutation_equivariance():
         assert objective(g, h) == objective(g, hp)
 
 
+# --- keyed-bincount scorer against the per-position sweep ---
+
+
+def add_at_sweep(g, h):
+    """The scorer as it was before the keyed bincount: one np.add.at per
+    member position, over the edges whose other labels agree (test oracle)."""
+    scores = np.zeros((g.n, h.K), dtype=np.int64)
+    fact = math.factorial(g.d - 1)
+    edge_labels = h.labels[g.edges]
+    for j in range(g.d):
+        others = np.delete(edge_labels, j, axis=1)
+        uniform = np.all(others == others[:, :1], axis=1)
+        np.add.at(scores, (g.edges[uniform, j], others[uniform, 0]), fact)
+    return scores
+
+
+def random_sparse_instance(rng, n, d, K, m):
+    """Up to ``m`` random d-sets on n nodes.  Some instances draw edges on
+    the lower half of the nodes only, leaving the rest isolated; some put a
+    third of the nodes in cluster 0, for many monochromatic edges."""
+    pool = max(d, n // 2) if rng.random() < 0.3 else n
+    rows = np.sort(rng.integers(0, pool, size=(m, d)), axis=1)
+    rows = rows[np.all(np.diff(rows, axis=1) > 0, axis=1)]
+    labels = rng.integers(0, K, size=n)
+    if rng.random() < 0.3:
+        labels[: n // 3] = 0
+    return Hypergraph(n, d, np.unique(rows, axis=0)), Assignment(labels, K)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_score_matches_add_at_sweep(d, K):
+    rng = np.random.default_rng([31, d, K])
+    for _ in range(12):
+        n = int(rng.integers(d, 3000))
+        g, h = random_sparse_instance(rng, n, d, K, int(rng.integers(0, 3 * n)))
+        C = multilinear_score(g, h)
+        assert C.dtype == np.int64 and C.shape == (n, K)
+        assert np.array_equal(C, add_at_sweep(g, h))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_score_degenerate_inputs(d):
+    n = 50
+    rng = np.random.default_rng(d)
+    g, _ = random_sparse_instance(rng, n, d, 3, 200)
+    empty = Hypergraph(n, d, np.empty((0, d), dtype=np.int64))
+    for K in [1, 2, 3, 4]:
+        single = Assignment(np.full(n, K - 1), K)  # one label for every node
+        mixed = Assignment(rng.integers(0, K, size=n), K)
+        for graph in (g, empty):
+            for h in (single, mixed):
+                C = multilinear_score(graph, h)
+                assert C.dtype == np.int64 and C.shape == (n, K)
+                assert np.array_equal(C, add_at_sweep(graph, h))
+        assert not multilinear_score(empty, mixed).any()
+        # with one label, each node scores its degree times (d-1)!, in that column
+        degree = np.bincount(g.edges.ravel(), minlength=n)
+        assert np.array_equal(multilinear_score(g, single)[:, K - 1], degree * math.factorial(d - 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_score_matches_dense_oracle_every_K(d):
+    rng = np.random.default_rng(200 + d)
+    for K in [1, 2, 3, 4]:
+        for _ in range(10):
+            n = int(rng.integers(d, 9))
+            g, h = random_instance(rng, n, d, K, edge_prob=float(rng.choice([0.0, 0.3, 0.8])))
+            assert np.array_equal(multilinear_score(g, h), dense_multilinear_oracle(g, h))
+
+
 # --- text formats ---
 
 

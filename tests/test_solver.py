@@ -246,3 +246,71 @@ def test_padded_trajectories_are_pinned(K, d0, seed):
     records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
     blob = json.dumps([report.final.labels.tolist(), records])
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PADDED_DIGESTS[K, d0, seed]
+
+
+# --- trajectory objectives read from the next score matrix ---
+
+
+def _trajectory_cases():
+    """Named runs: (g, h0, ptpm keyword arguments)."""
+    g, truth = planted_instance(60, 3, 2, 40.0, 4.0, 7)
+    start = corrupt(truth, 5, 2)
+    pg, dummies, ptruth = _padded_planted(60, 3, 4, np.random.default_rng([7, 3]))
+    pstart = Assignment(np.concatenate([random_init(60, 3, seed=3).labels, np.zeros(len(dummies), dtype=np.int64)]), 3)
+    return {
+        "fixed point": (g, start, {"truth": truth}),
+        "fixed point, no truth": (g, start, {}),
+        # from seed 4 the labels stop moving at iteration 6, from seed 0 never
+        "budget hit": (g, random_init(60, 2, seed=4), {"truth": truth, "max_iters": 6, "early_stop": False}),
+        "budget hit, no truth": (g, random_init(60, 2, seed=0), {"max_iters": 4}),
+        "zero iterations": (g, start, {"truth": truth, "max_iters": 0}),
+        "one iteration": (g, start, {"max_iters": 1}),
+        "padded": (pg, pstart, {"truth": ptruth, "dummy_ids": dummies}),
+        "padded budget hit": (pg, pstart, {"dummy_ids": dummies, "max_iters": 2, "early_stop": False}),
+    }
+
+
+TRAJECTORY_CASES = _trajectory_cases()
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trajectory_objectives_match_objective(case):
+    g, h0, kw = TRAJECTORY_CASES[case]
+    report = ptpm(g, h0, **kw)
+    if case.startswith("fixed point") or case == "padded":
+        assert report.converged_by_fixed_point
+    # iterate t, from a solve of t steps that records no trajectory
+    iterates = [
+        ptpm(g, h0, t, early_stop=False, record_trajectory=False, dummy_ids=kw.get("dummy_ids", ())).final
+        for t in range(report.iterations_run + 1)
+    ]
+    assert iterates[-1].labels.tolist() == report.final.labels.tolist()
+    assert [r.iteration for r in report.trajectory] == list(range(len(iterates)))
+    for rec, a in zip(report.trajectory, iterates):
+        assert rec.objective == objective(g, a)
+    assert report.trajectory[0].changed == 0
+    for rec, before, after in zip(report.trajectory[1:], iterates, iterates[1:]):
+        assert rec.changed == int(np.count_nonzero(before.labels != after.labels))
+
+
+def test_objective_is_counted_at_most_once(monkeypatch):
+    import hyperclust.solver as solver
+
+    calls = {}
+    for name in ("multilinear_score", "objective"):
+
+        def counted(*args, _fn=getattr(solver, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    for g, h0, kw in TRAJECTORY_CASES.values():
+        for record in (True, False):
+            calls.update(multilinear_score=0, objective=0)
+            report = ptpm(g, h0, **kw, record_trajectory=record)
+            assert calls["multilinear_score"] == report.iterations_run
+            assert calls["objective"] <= (1 if record else 0)
+            if report.converged_by_fixed_point:
+                assert calls["objective"] == 0
+            if report.iterations_run == 0 and record:
+                assert calls["objective"] == 1
