@@ -81,7 +81,10 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     except EigensolverError as err:
         if strict:
             raise
-        warnings.warn("eigensolver hit its iteration cap; using the capped basis")
+        warnings.warn(
+            f"eigensolver hit its iteration cap after {err.iterations} steps "
+            f"(residual {err.residual:.3e}); using the capped basis"
+        )
         vecs = err.best_basis
     labels = _kmeans(vecs, K, rng)
     rough = Assignment(labels, K)
@@ -126,19 +129,22 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
 
 
 def _spectral_operator(g):
-    """The co-occurrence matrix shifted by its maximum row sum: M = W + shift*I.
+    """The co-occurrence matrix shifted by the maximum degree: M = W + shift*I.
 
     Built as float64 straight from the edge list, with one ``bincount`` over
     the keys i*n + j of every ordered member pair, so the spectral path
-    holds a single n x n array.  Row i of W sums to (d-1) * degree(i), so
-    the shift is (d-1) times the maximum degree, at least 1.0; it makes the
-    spectrum nonnegative, so the algebraically largest eigenvalues of W
-    dominate M in magnitude.  The entries are small integers, so M equals
-    ``similarity_matrix(g) + shift*I`` exactly.
+    holds a single n x n array.  With B the node-by-edge incidence matrix
+    and D the diagonal of node degrees, W + D = B B^T is positive
+    semidefinite, so W + max(degree) * I is too: the shift is the maximum
+    degree, at least 1.0.  A smaller one would not do for every graph: an
+    even cycle (d = 2) has lambda_min(W) = -max degree.  The smaller the
+    shift, the further the ratio (lambda_{K+1} + shift) / (lambda_K + shift)
+    that sets the power iteration's rate stays from 1.  The entries are small
+    integers, so M equals ``similarity_matrix(g) + shift*I`` exactly.
     """
     n, edges = g.n, g.edges
     degree = np.bincount(edges.ravel(), minlength=n)
-    shift = max(float((g.d - 1) * degree.max(initial=0)), 1.0)
+    shift = max(float(degree.max(initial=0)), 1.0)
     a, b = np.nonzero(~np.eye(g.d, dtype=bool))  # every ordered member pair
     keys = (edges[:, a] * n + edges[:, b]).ravel()
     M = np.bincount(keys, weights=np.ones(keys.size), minlength=n * n)
@@ -152,11 +158,12 @@ def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
 
     M must have a nonnegative spectrum, so that its largest eigenvalues
     dominate in magnitude (``spectral_init`` passes ``_spectral_operator``'s
-    W + shift*I and the shift as ``scale``).  Each step computes one product
-    M @ Q: it gives the invariant-subspace residual
-    ||M Q - Q (Q^T M Q)||_F of the current basis, and its QR factor is the
-    next basis.  Convergence is declared when the residual drops below
-    ``tol`` relative to ``scale``.
+    W + shift*I and the shift as ``scale``).  The error shrinks by the ratio
+    mu_{K+1} / mu_K of M's eigenvalues per step, so the step count grows
+    like 1 / log(mu_K / mu_{K+1}).  Each step computes one product M @ Q:
+    it gives the invariant-subspace residual ||M Q - Q (Q^T M Q)||_F of the
+    current basis, and its QR factor is the next basis.  Convergence is
+    declared when the residual drops below ``tol`` relative to ``scale``.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -175,30 +182,51 @@ def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
 
 
 def _kmeans(X, K, rng, restarts=20, iters=100):
-    """k-means with k-means++ seeding, best of ``restarts`` by objective."""
-    n = X.shape[0]
-    best_labels, best_obj = None, np.inf
-    for _ in range(restarts):
-        centers = _kmeanspp(X, K, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for _ in range(iters):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for k in range(K):
-                mask = new_labels == k
-                if mask.any():
-                    centers[k] = X[mask].mean(axis=0)
-                else:
-                    # resurrect an empty cluster at the worst-fit point
-                    centers[k] = X[int(d2.min(axis=1).argmax())]
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-        obj = float(((X - centers[labels]) ** 2).sum())
-        if obj < best_obj:
-            best_labels, best_obj = labels, obj
-    return best_labels
+    """k-means with k-means++ seeding, best of ``restarts`` by objective.
+
+    Every seeding is drawn first, in the order that running the restarts
+    one after another would draw them (Lloyd's steps draw nothing), and
+    Lloyd's algorithm then runs for all restarts as one batch.  A step
+    labels each point with its nearest center (ties to the lowest cluster)
+    and moves each center to the mean of its points, or, when it has none,
+    to the point farthest from its nearest center; a restart retires once
+    a step leaves its labels unchanged, or after ``iters`` steps.  The
+    labels of the first restart with the least objective are returned.
+    """
+    n, D = X.shape
+    centers = np.stack([_kmeanspp(X, K, rng) for _ in range(restarts)])
+    labels = np.zeros((restarts, n), dtype=np.int64)
+    active = np.arange(restarts)
+    for _ in range(iters):
+        A = active.size
+        if A == 0:
+            break
+        C = centers[active]
+        d2 = np.empty((K, A, n))
+        for k in range(K):  # one center at a time: no (A, n, K, D) temporary
+            d2[k] = ((X - C[:, k, None, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=0)
+        keys = (np.arange(A)[:, None] * K + new_labels).ravel()
+        counts = np.bincount(keys, minlength=A * K)
+        sums = np.bincount(
+            (keys[:, None] * D + np.arange(D)).ravel(),
+            weights=np.broadcast_to(X, (A, n, D)).ravel(),
+            minlength=A * K * D,
+        ).reshape(A * K, D)
+        C = C.reshape(A * K, D)
+        filled = counts > 0
+        C[filled] = sums[filled] / counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            # resurrect an empty cluster at its restart's worst-fit point
+            worst = d2.min(axis=0).argmax(axis=1)
+            C[empty] = X[worst[empty // K]]
+        centers[active] = C.reshape(A, K, D)
+        moved = (new_labels != labels[active]).any(axis=1)
+        labels[active] = new_labels
+        active = active[moved]
+    objective = [float(((X - c[lab]) ** 2).sum()) for c, lab in zip(centers, labels)]
+    return labels[int(np.argmin(objective))]
 
 
 def _kmeanspp(X, K, rng):

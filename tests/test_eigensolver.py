@@ -42,12 +42,12 @@ def eigenbasis(g, K, **kw):
     return _top_eigenvectors(M, K, seeded_rng(7), scale=shift, **kw)
 
 
-# Bases as the solver produced them when it ran two products per step on
-# the float copy of similarity_matrix(g).
+# Bases as the solver produces them on W + max(degree) * I.  The d2 and empty
+# bases predate that shift: there it equals the old (d-1) * max degree and 1.0.
 BASIS_DIGESTS = {
     "d2": (lambda: planted(40, 2, 2, 120, 40, [91, 2]), 2, "86aafe713baf8d83"),
-    "d3": (lambda: planted(60, 3, 3, 150, 60, [91, 3]), 3, "62831a650348f5d5"),
-    "d4": (lambda: planted(48, 4, 4, 120, 60, [91, 4]), 4, "6f1a1cd724d85b9f"),
+    "d3": (lambda: planted(60, 3, 3, 150, 60, [91, 3]), 3, "6bc05c8f0793cf82"),
+    "d4": (lambda: planted(48, 4, 4, 120, 60, [91, 4]), 4, "05d5d95debd1aca1"),
     "empty": (lambda: Hypergraph(12, 3, np.empty((0, 3), dtype=np.int64)), 3, "c7672e345c1b9eb8"),
 }
 
@@ -62,8 +62,8 @@ def test_capped_diagnostics_are_pinned():
     with pytest.raises(EigensolverError) as err:
         eigenbasis(no_signal(), 3)
     assert err.value.iterations == 1000
-    assert err.value.residual.hex() == "0x1.ea3b89c1c52dbp-18"
-    assert digest(err.value.best_basis.tobytes()) == "aaaf7850a740f19e"
+    assert err.value.residual.hex() == "0x1.8a7f4149a2c31p-23"
+    assert digest(err.value.best_basis.tobytes()) == "a739f9c9a3a87377"
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -110,7 +110,8 @@ def test_converged_run_takes_one_product_per_step():
     assert count_products(g, steps - 1) == (steps, False)
 
 
-def test_operator_is_exact():
+def random_graphs():
+    """Three empty graphs and 60 random ones, some with isolated nodes."""
     rng = np.random.default_rng(12)
     graphs = [Hypergraph(9, d, np.empty((0, d), dtype=np.int64)) for d in (2, 3, 4)]
     for _ in range(60):
@@ -119,12 +120,72 @@ def test_operator_is_exact():
         used = int(rng.integers(d, n + 1))  # nodes >= used stay isolated
         rows = np.sort([rng.choice(used, d, replace=False) for _ in range(int(rng.integers(0, 80)))], axis=1)
         graphs.append(Hypergraph(n, d, np.unique(rows.reshape(-1, d), axis=0)))
-    for g in graphs:
+    return graphs
+
+
+def test_operator_is_exact():
+    for g in random_graphs():
         W = similarity_matrix(g)
         M, shift = _spectral_operator(g)
-        assert shift == max(float(W.sum(axis=1).max(initial=0)), 1.0)
+        assert shift == max(float(W.sum(axis=1).max(initial=0)) / (g.d - 1), 1.0)  # max degree
         assert M.dtype == np.float64
         assert np.array_equal(M, W.astype(np.float64) + shift * np.eye(g.n))
+
+
+def test_operator_is_positive_semidefinite():
+    for g in random_graphs():
+        M, _ = _spectral_operator(g)
+        assert np.linalg.eigvalsh(M)[0] >= -1e-9
+
+
+def test_shift_is_tight_on_an_even_cycle():
+    # lambda_min(W) of an even cycle is -2, the negative of its maximum degree
+    n = 12
+    g = Hypergraph.from_edge_list(n, 2, [(i, (i + 1) % n) for i in range(n)])
+    M, shift = _spectral_operator(g)
+    assert shift == 2.0
+    assert np.linalg.eigvalsh(similarity_matrix(g).astype(np.float64))[0] == pytest.approx(-shift)
+    assert abs(np.linalg.eigvalsh(M)[0]) <= 1e-9
+
+
+def sin_largest_angle(V, U):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return np.linalg.norm(V - U @ (U.T @ V), 2)
+
+
+def gapped_graphs():
+    """The pinned graphs with an eigengap, and 30 random planted ones."""
+    graphs = [(BASIS_DIGESTS[case][0](), BASIS_DIGESTS[case][1]) for case in ("d2", "d3", "d4")]
+    for s in range(30):
+        rng = np.random.default_rng([92, s])
+        d, K = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        n = K * int(rng.integers(8, 20))
+        graphs.append((planted(n, d, K, 6 * n, n, [92, s]), K))
+    return graphs
+
+
+def test_converged_basis_spans_the_top_eigenspace():
+    for g, K in gapped_graphs():
+        w, U = np.linalg.eigh(similarity_matrix(g).astype(np.float64))
+        M, shift = _spectral_operator(g)
+        # residual tol * shift over a gap of at least shift / 10 bounds the
+        # sine by 1e-7 (Davis-Kahan)
+        assert w[-K] - w[-K - 1] >= 0.1 * shift
+        V = _top_eigenvectors(M, K, seeded_rng(7), scale=shift)
+        assert sin_largest_angle(V, U[:, -K:]) <= 1e-6
+
+
+def test_max_degree_shift_takes_fewer_steps():
+    make, K, _ = BASIS_DIGESTS["d4"]
+    g = make()
+    W = similarity_matrix(g).astype(np.float64)
+    old_shift = float((g.d - 1) * np.bincount(g.edges.ravel(), minlength=g.n).max())
+    old = CountingOperator(W + old_shift * np.eye(g.n))
+    _top_eigenvectors(old, K, seeded_rng(7), scale=old_shift)
+    M, shift = _spectral_operator(g)
+    new = CountingOperator(M)
+    _top_eigenvectors(new, K, seeded_rng(7), scale=shift)
+    assert new.products <= 0.6 * old.products
 
 
 def test_spectral_init_skips_the_int64_matrix(monkeypatch):
@@ -158,3 +219,13 @@ def test_capped_path_contract():
     with pytest.raises(EigensolverError) as err:
         spectral_init(g, 3, 0, strict=True)
     assert err.value.iterations == 1000  # the default cap
+
+
+def test_capped_warning_reports_steps_and_residual():
+    with pytest.warns(UserWarning) as caught:
+        spectral_init(no_signal(), 3, 0, strict=False)
+    message = str(caught[0].message)
+    assert "iteration cap after 1000 steps" in message
+    with pytest.raises(EigensolverError) as err:
+        spectral_init(no_signal(), 3, 0, strict=True)
+    assert f"(residual {err.value.residual:.3e})" in message

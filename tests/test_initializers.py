@@ -8,6 +8,8 @@ from hyperclust.core import Assignment, Hypergraph
 from hyperclust.experiments import block_truth, shuffled_truth
 from hyperclust.initializers import (
     EigensolverError,
+    _kmeans,
+    _kmeanspp,
     _top_eigenvectors,
     corrupt,
     random_init,
@@ -108,6 +110,73 @@ def test_eigensolver_nonconvergence_diagnostics():
         _top_eigenvectors(W, 2, rng, tol=1e-30, max_iter=3)
     assert err.value.iterations == 3
     assert err.value.residual > 0
+
+
+def kmeans_one_restart_at_a_time(X, K, rng, stats, restarts=20, iters=100):
+    """The per-restart Lloyd loop that ``_kmeans`` batches, as a reference.
+
+    ``stats`` counts the empty clusters resurrected and the restarts whose
+    objective ties the best one with other labels."""
+    n = X.shape[0]
+    best_labels, best_obj = None, np.inf
+    for _ in range(restarts):
+        centers = _kmeanspp(X, K, rng)
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(iters):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            for k in range(K):
+                mask = new_labels == k
+                if mask.any():
+                    centers[k] = X[mask].mean(axis=0)
+                else:
+                    stats["resurrected"] += 1
+                    centers[k] = X[int(d2.min(axis=1).argmax())]
+            if np.array_equal(new_labels, labels):
+                labels = new_labels
+                break
+            labels = new_labels
+        obj = float(((X - centers[labels]) ** 2).sum())
+        if obj == best_obj and not np.array_equal(labels, best_labels):
+            stats["tied"] += 1
+        if obj < best_obj:
+            best_labels, best_obj = labels, obj
+    return best_labels
+
+
+def kmeans_inputs():
+    """Random inputs with D = K columns, as spectral_init passes, or 2 to 8.
+
+    No input has one column and K > 1: numpy sums a single column pairwise,
+    so the reference's mean of many equal values can differ in the last bit
+    from ``_kmeans``'s running sum, and a tie can then break the other way.
+    """
+    rng = np.random.default_rng(31)
+    for case in range(200):
+        K = int(rng.integers(1, 6))
+        n = int(rng.integers(K, 80))
+        D = K if case % 2 else int(rng.integers(2, 9))
+        kind = case % 4
+        if kind == 0:  # spectral-like: noisy cluster indicators
+            X = np.eye(K, D)[rng.integers(0, K, n)] + 0.3 * rng.standard_normal((n, D))
+        elif kind == 1:  # few distinct points, many duplicates and exact ties
+            X = rng.integers(0, 2, (n, D)).astype(np.float64)
+        elif kind == 2:  # fewer distinct points than clusters: empty clusters
+            points = rng.standard_normal((max(1, K - 1), D))
+            X = points[rng.integers(0, len(points), n)]
+        else:
+            X = rng.standard_normal((n, D))
+        yield X, K, int(rng.integers(1, 21)), int(rng.integers(1, 100)), int(rng.integers(1 << 30))
+
+
+def test_batched_kmeans_matches_the_per_restart_loop():
+    stats = {"resurrected": 0, "tied": 0}
+    for X, K, restarts, iters, seed in kmeans_inputs():
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = kmeans_one_restart_at_a_time(X, K, ref_rng, stats, restarts, iters)
+        assert _kmeans(X, K, rng, restarts, iters).tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert stats["resurrected"] > 0 and stats["tied"] > 0
 
 
 # --- corrupt ---
