@@ -30,7 +30,7 @@ cfg = GridConfig(
 )
 
 with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # no-signal cells stall the eigensolver
+    warnings.simplefilter("ignore")  # near-tied cells may hit the eigensolver's cap
     rows, ratios = phase_transition(cfg)
 
 boundary = K ** (d - 1) * math.factorial(d - 1)

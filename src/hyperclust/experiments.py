@@ -84,8 +84,9 @@ def make_initializer(strategy: str):
     if strategy == "random":
         return lambda g, K, truth, seed: random_init(g.n, K, seed)
     if strategy == "spectral":
-        # non-strict: grid sweeps cross no-signal cells where the trailing
-        # eigengap is degenerate; the capped basis is accepted there
+        # non-strict: a grid sweep may cross cells whose K-th eigenvalue nearly
+        # ties the next, where the eigensolver hits its product cap; the
+        # capped basis is accepted there
         return lambda g, K, truth, seed: spectral_init(g, K, seed, strict=False)
     if strategy.startswith("corrupt:"):
         swaps = int(strategy.split(":", 1)[1])

@@ -9,6 +9,7 @@ are deterministic per seed.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -25,16 +26,18 @@ __all__ = [
 ]
 
 class EigensolverError(RuntimeError):
-    """Raised when the block power iteration fails to reach tolerance.
+    """Raised when the Chebyshev-filtered subspace iteration reaches its
+    product cap before its tolerance.
 
-    Carries the iteration count, the final residual, and the best-effort
-    Ritz basis reached at the cap (``best_basis``).
+    Carries ``iterations``, the number of products with the operator taken
+    (the cap), the final residual, and the top-K Ritz basis reached at the
+    cap (``best_basis``).
     """
 
     def __init__(self, iterations, residual, tol, best_basis=None):
         super().__init__(
             f"eigensolver did not converge: residual {residual:.3e} > tol {tol:.1e} "
-            f"after {iterations} iterations"
+            f"after {iterations} products"
         )
         self.iterations = iterations
         self.residual = residual
@@ -68,10 +71,11 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     matrix with k-means, then balance the labeling by projection.
 
     With ``strict`` (the default) eigensolver non-convergence raises; with
-    ``strict=False`` the best basis reached at the iteration cap is used
-    with a warning.  The latter suits grid sweeps that must traverse
-    no-signal cells, where the trailing eigengap is genuinely degenerate
-    and any basis of the wobbling subspace is as informative as another.
+    ``strict=False`` the basis reached at the iteration cap (1000 products
+    with the operator) is used with a warning that names the products and
+    the residual.  The latter suits grid sweeps that may cross cells whose
+    K-th eigenvalue nearly ties the next, where any basis of the wobbling
+    subspace is as informative as another.
     """
     check_divides(g.n, K)
     rng = seeded_rng(seed)
@@ -82,7 +86,7 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
         if strict:
             raise
         warnings.warn(
-            f"eigensolver hit its iteration cap after {err.iterations} steps "
+            f"eigensolver hit its iteration cap after {err.iterations} products "
             f"(residual {err.residual:.3e}); using the capped basis"
         )
         vecs = err.best_basis
@@ -137,10 +141,11 @@ def _spectral_operator(g):
     and D the diagonal of node degrees, W + D = B B^T is positive
     semidefinite, so W + max(degree) * I is too: the shift is the maximum
     degree, at least 1.0.  A smaller one would not do for every graph: an
-    even cycle (d = 2) has lambda_min(W) = -max degree.  The smaller the
-    shift, the further the ratio (lambda_{K+1} + shift) / (lambda_K + shift)
-    that sets the power iteration's rate stays from 1.  The entries are small
-    integers, so M equals ``similarity_matrix(g) + shift*I`` exactly.
+    even cycle (d = 2) has lambda_min(W) = -max degree.  That makes [0, b]
+    safe for the eigensolver's Chebyshev filter to damp, and the smaller the
+    shift, the larger (lambda_K + shift) / (b + shift) and the faster the
+    filter converges.  The entries are small integers, so M equals
+    ``similarity_matrix(g) + shift*I`` exactly.
     """
     n, edges = g.n, g.edges
     degree = np.bincount(edges.ravel(), minlength=n)
@@ -153,32 +158,84 @@ def _spectral_operator(g):
     return M, shift
 
 
-def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
-    """Orthogonal (block power) iteration for the top-K eigenvectors of M.
+# The most products with M per outer step: the Chebyshev degree, counting
+# the Rayleigh-Ritz product that the filter reuses as its first.
+_FILTER_DEGREE = 8
+# Block columns past K: the guard's Ritz value bounds the damped interval.
+_GUARD = 1
 
-    M must have a nonnegative spectrum, so that its largest eigenvalues
-    dominate in magnitude (``spectral_init`` passes ``_spectral_operator``'s
-    W + shift*I and the shift as ``scale``).  The error shrinks by the ratio
-    mu_{K+1} / mu_K of M's eigenvalues per step, so the step count grows
-    like 1 / log(mu_K / mu_{K+1}).  Each step computes one product M @ Q:
-    it gives the invariant-subspace residual ||M Q - Q (Q^T M Q)||_F of the
-    current basis, and its QR factor is the next basis.  Convergence is
-    declared when the residual drops below ``tol`` relative to ``scale``.
+
+def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
+    """Chebyshev-filtered subspace iteration for the top-K eigenvectors of M
+    (Zhou & Saad, J. Comput. Phys. 2006).
+
+    M must have a nonnegative spectrum (``spectral_init`` passes
+    ``_spectral_operator``'s W + shift*I and the shift as ``scale``).  The
+    block holds K + 1 orthonormal columns.  Each outer step is a
+    Rayleigh-Ritz step on the block, then a Chebyshev polynomial of M
+    applied to the block and a QR factor of the result.  The polynomial is
+    at most 1 in magnitude on [0, b], with b the guard column's Ritz value,
+    and grows fast above b, so a degree-m step shrinks the error by about
+    T_m(2 mu_K / b - 1), where m power steps shrink it by
+    (mu_K / mu_{K+1})^m.  The degree is 8, or the lowest one that this rate
+    expects to reach ``tol``.  Convergence is declared when the residual
+    ||M Q - Q diag(theta)||_F of the top-K Ritz pairs drops below ``tol``
+    relative to ``scale``.
+
+    ``max_iter`` caps the products with M.  A degree-m step takes m of them,
+    the last for the next Rayleigh-Ritz step, and is shortened to fit the
+    cap; ``EigensolverError.iterations`` reports the products taken.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    Q, _ = np.linalg.qr(rng.standard_normal((M.shape[0], K)))
-    MQ = M @ Q
-    for _ in range(max_iter):
-        Q, _ = np.linalg.qr(MQ)
-        MQ = M @ Q
-        B = Q.T @ MQ
-        residual = float(np.linalg.norm(MQ - Q @ B) / scale)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    p = min(K + _GUARD, M.shape[0])
+    X, _ = np.linalg.qr(rng.standard_normal((M.shape[0], p)))
+    MX = M @ X
+    products = 1
+    while True:
+        theta, V = np.linalg.eigh(X.T @ MX)
+        theta, V = theta[::-1], V[:, ::-1]  # descending eigenvalue order
+        X, MX = X @ V, MX @ V
+        residual = float(np.linalg.norm(MX[:, :K] - X[:, :K] * theta[:K]) / scale)
         if residual <= tol:
-            _, V = np.linalg.eigh(B)
-            return Q @ V[:, ::-1]  # descending eigenvalue order
-    _, V = np.linalg.eigh(B)
-    raise EigensolverError(max_iter, residual, tol, best_basis=Q @ V[:, ::-1])
+            return X[:, :K]
+        if products == max_iter:
+            raise EigensolverError(products, residual, tol, best_basis=X[:, :K])
+        # damp [0, b]: b is the guard's Ritz value, held below theta_K so that a
+        # tie at the K-th eigenvalue still leaves T_8(2 theta_K / b - 1) >= cosh 2
+        b = max(min(theta[K], (1 - _FILTER_DEGREE**-2) * theta[K - 1]), 0.0) if p > K else 0.0
+        degree = min(_FILTER_DEGREE, max_iter - products)
+        if b > 0:
+            # the lowest degree m whose damping 1 / T_m(2 theta_K / b - 1) is
+            # expected to bring the residual down to tol
+            rate = math.acosh(2 * theta[K - 1] / b - 1)
+            degree = min(degree, math.ceil(math.acosh(residual / tol) / rate))
+        X, _ = np.linalg.qr(_chebyshev_filter(M, X, MX, degree, b, float(np.linalg.norm(MX))))
+        MX = M @ X
+        products += degree
+
+
+def _chebyshev_filter(M, X, MX, degree, b, top):
+    """p(M) X, with p the degree-``degree`` Chebyshev polynomial of [0, b]
+    scaled to p(top) = 1, from MX = M @ X and ``degree - 1`` more products.
+
+    The scaled three-term recurrence (Zhou & Saad, J. Comput. Phys. 2006)
+    divides by top - b/2 and never by the half-width b/2: it stays finite
+    for b = 0, where it becomes the power step (M / top)^degree X.
+    ``top = ||M X||_F`` bounds every Ritz value, so top - b/2 >= top/2 > 0
+    whenever M X is nonzero, and |p| <= 1 on [0, top].
+    """
+    c = b / 2  # the centre and the half-width of [0, b]
+    u = 1.0 / (top - c)
+    s1 = s = c * u  # T_{j-1} / T_j at top, j = 1
+    prev, Y = X, (MX - c * X) * u
+    for _ in range(degree - 1):
+        s_next = s1 / (2.0 - s1 * s)
+        prev, Y = Y, (M @ Y - c * Y) * (2.0 * u / (2.0 - s1 * s)) - (s * s_next) * prev
+        s = s_next
+    return Y
 
 
 def _kmeans(X, K, rng, restarts=20, iters=100):

@@ -43,7 +43,8 @@ def test_phase_transition_csvs_are_pinned(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phase_transition(cfg, out)
-    assert csv_digest(out, drop=("wall_ms",)) == "d865552d85a8c2b8"
+    # spectral starts from the Chebyshev-filtered eigensolver
+    assert csv_digest(out, drop=("wall_ms",)) == "09c552dc52815b1b"
     assert digest((tmp_path / "phase_ratio.csv").read_bytes()) == "cac2469038a672e1"
     assert digest((tmp_path / "phase_threshold.csv").read_bytes()) == "6b9c0f68e7511427"
 
