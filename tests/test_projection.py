@@ -1,12 +1,17 @@
 import hashlib
+import heapq
 import json
 
 import numpy as np
 import pytest
 
+from hyperclust import projection
 from hyperclust.core import Assignment
 from hyperclust.projection import (
+    _FLOAT_TIE_TOL,
     _balanced_labelings,
+    _lex_min_over_ties,
+    _transport,
     brute_force_projection,
     project_balanced,
 )
@@ -298,3 +303,344 @@ def test_tie_heavy_integer_projections_are_pinned(K):
         mats.append(2 * np.eye(K, dtype=np.int64)[lab] + rng.integers(0, 3, size=(600, K)))
     labels = [project_balanced(C).labels.tolist() for C in mats]
     assert _digest(labels) == TIE_HEAVY_DIGESTS[K]
+
+
+# --- the primal-dual transport against the successive-shortest-path oracle ---
+
+
+def ssp_transport(cost, start, m):
+    """The successive-shortest-path solver that ``_transport`` replaced,
+    kept as its oracle.
+
+    ``cost`` is (n, K) and ``start[i]`` a least-cost cluster of node i.
+    Each cluster keeps its first m start nodes by id; every overflow node
+    is then inserted alone along a shortest augmenting path (Dijkstra over
+    the K clusters with lazy heaps of relocatable nodes), updating the
+    cluster potentials ``v`` in exact Python arithmetic.
+    """
+    n, K = cost.shape
+    v = [0] * K
+    if np.bincount(start, minlength=K).max() <= m:
+        return start.tolist(), v
+    assign = start.copy()
+    # heaps[k][l]: (cost[j][l] - cost[j][k], j) over nodes j assigned to k
+    heaps = [[[] for _ in range(K)] for _ in range(K)]
+    for k in range(K):
+        rows = np.flatnonzero(start == k)
+        assign[rows[m:]] = -1
+        rows = rows[:m]
+        for l in range(K):
+            if l != k:
+                gap = cost[rows, l] - cost[rows, k]
+                idx = np.lexsort((rows, gap))
+                heaps[k][l] = list(zip(gap[idx].tolist(), rows[idx].tolist()))
+    overflow = np.flatnonzero(assign < 0).tolist()
+    counts = np.minimum(np.bincount(start, minlength=K), m).tolist()
+    assign = assign.tolist()
+    rows_of = cost.tolist()
+
+    def push_row(j, k):
+        base = rows_of[j][k]
+        for l in range(K):
+            if l != k:
+                heapq.heappush(heaps[k][l], (rows_of[j][l] - base, j))
+
+    for i in overflow:
+        ci = rows_of[i]
+        dist = [ci[k] - v[k] for k in range(K)]
+        pred = [(-1, -1)] * K
+        done = [False] * K
+        pq = [(dist[k], k) for k in range(K)]
+        heapq.heapify(pq)
+        target = -1
+        while pq:
+            dk, k = heapq.heappop(pq)
+            if done[k] or dk > dist[k]:
+                continue
+            done[k] = True
+            if counts[k] < m:
+                target = k
+                break
+            for l in range(K):
+                if l == k or done[l]:
+                    continue
+                h = heaps[k][l]
+                while h and assign[h[0][1]] != k:
+                    heapq.heappop(h)
+                if h and dk + h[0][0] + v[k] - v[l] < dist[l]:
+                    dist[l] = dk + h[0][0] + v[k] - v[l]
+                    pred[l] = (k, h[0][1])
+                    heapq.heappush(pq, (dist[l], l))
+        D = dist[target]
+        for k in range(K):
+            v[k] += min(dist[k], D) if done[k] else D
+        k = target
+        moves = []
+        while pred[k][0] != -1:
+            src, wit = pred[k]
+            moves.append((src, k, wit))
+            k = src
+        for src, dst, wit in moves:
+            assign[wit] = dst
+            counts[src] -= 1
+            counts[dst] += 1
+            push_row(wit, dst)
+        assign[i] = k
+        counts[k] += 1
+        push_row(i, k)
+    return assign, v
+
+
+def _solver_inputs(C):
+    """Cost matrix (n, K) and tie tolerance exactly as ``project_balanced``
+    forms them."""
+    if np.issubdtype(C.dtype, np.integer):
+        return -C.astype(np.int64), 0
+    return -C.astype(np.float64), _FLOAT_TIE_TOL * float(np.abs(C).max())
+
+
+def oracle_projection(C):
+    """Labels of ``project_balanced`` with ``ssp_transport`` in place of
+    ``_transport``: the tight mask is rebuilt from the oracle's duals."""
+    cost, tol = _solver_inputs(C)
+    n, K = cost.shape
+    assign, v = ssp_transport(cost, np.argmax(C, axis=1), n // K)
+    assign = np.array(assign)
+    v = np.array(v, dtype=cost.dtype)
+    u = cost[np.arange(n), assign] - v[assign]
+    tight = (cost - u[:, None] - v[None, :] <= tol).T
+    return np.asarray(_lex_min_over_ties(tight, assign)).tolist()
+
+
+def check_against_oracle(C):
+    """The new solver's duals are feasible and tight on its assignment, it
+    reaches the oracle's optimal cost, and the labels agree."""
+    cost, tol = _solver_inputs(C)
+    n, K = cost.shape
+    assign, v, tight = _transport(np.ascontiguousarray(cost.T), n // K, tol)
+    assert np.bincount(assign, minlength=K).tolist() == [n // K] * K
+    red = cost - v[None, :]
+    u = red.min(axis=1)
+    # u is the row minimum, so every reduced cost is >= 0: dual feasible;
+    # every node sits on an arc within tol of it: complementary slackness
+    assert np.all(red[np.arange(n), assign] - u <= tol)
+    assert np.array_equal(tight, (red <= u[:, None] + tol).T)
+    slow, _ = ssp_transport(cost, np.argmax(C, axis=1), n // K)
+    got, want = cost[np.arange(n), assign].sum(), cost[np.arange(n), slow].sum()
+    if tol:
+        assert abs(got - want) <= n * tol
+    else:
+        assert int(got) == int(want)
+    labels = project_balanced(C).labels.tolist()
+    assert labels == oracle_projection(C)
+    return labels
+
+
+def _random_matrix(rng, n, K):
+    kind = int(rng.integers(6))
+    if kind == 0:  # small integers: ties everywhere
+        return rng.integers(0, 3, size=(n, K))
+    if kind == 1:
+        return rng.integers(-1000, 1000, size=(n, K))
+    if kind == 2:
+        return rng.standard_normal((n, K))
+    if kind == 3:  # columns on very different scales: long dual ascents
+        return np.round(rng.exponential(1, (n, K)) * rng.exponential(5, K), 1)
+    if kind == 4:  # a balanced one-hot over integer noise, as in ptpm
+        lab = rng.permutation(np.repeat(np.arange(K), n // K))
+        return 3 * np.eye(K, dtype=np.int64)[lab] + rng.integers(0, 4, size=(n, K))
+    # a skewed argmax: most nodes prefer the first clusters
+    return rng.integers(0, 5, size=(n, K)) + np.arange(K)[::-1] * rng.integers(0, 3)
+
+
+def test_transport_matches_successive_shortest_paths():
+    rng = np.random.default_rng(2024)
+    overflowing = 0
+    for _ in range(240):
+        K = int(rng.integers(2, 7))
+        n = K * int(rng.integers(1, 600 // K + 1))
+        C = _random_matrix(rng, n, K)
+        overflowing += int(np.bincount(np.argmax(C, axis=1), minlength=K).max() > n // K)
+        check_against_oracle(C)
+    assert overflowing > 150
+
+
+# --- degenerate inputs ---
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_one_node_per_cluster(K):
+    rng = np.random.default_rng(1100 + K)
+    for _ in range(40):
+        for C in (rng.integers(-2, 3, size=(K, K)), rng.standard_normal((K, K))):
+            labels = check_against_oracle(C)
+            assert labels == brute_force_projection(C).labels.tolist()
+            assert sorted(labels) == list(range(K))
+
+
+def test_identical_rows():
+    # every balanced assignment has the same sum, so the block labeling wins
+    rng = np.random.default_rng(1200)
+    for n, K in [(4, 2), (9, 3), (8, 4), (6, 6), (600, 4), (600, 5)]:
+        # dyadic floats, so that the brute force's float sums are exact
+        for row in (rng.integers(-3, 4, size=K), rng.integers(-64, 64, size=K) / 8):
+            C = np.tile(row, (n, 1))
+            labels = check_against_oracle(C)
+            assert labels == np.repeat(np.arange(K), n // K).tolist()
+            if n <= 12:
+                assert labels == brute_force_projection(C).labels.tolist()
+
+
+def test_every_argmax_in_one_column():
+    # n - n/K nodes overflow the first cluster
+    rng = np.random.default_rng(1300)
+    for n, K in [(6, 2), (12, 3), (8, 4), (6, 6), (600, 3), (600, 6)]:
+        for C in (rng.integers(0, 4, size=(n, K)), rng.standard_normal((n, K))):
+            C[:, 0] = np.abs(C).max() + 1 + rng.integers(0, 2, size=n)
+            labels = check_against_oracle(C)
+            if n <= 12:
+                assert labels == brute_force_projection(C).labels.tolist()
+
+
+def test_integer_entries_at_the_limit():
+    L = 2**60 - 1
+    rng = np.random.default_rng(1400)
+    for _ in range(60):
+        n, K = _small_shape(rng)
+        big = int(rng.integers(2, 600 // K + 1)) * K
+        for m in (n, big):
+            C = rng.choice([-L, L, 0, 1, -1], size=(m, K))
+            if rng.random() < 0.5:
+                C[:, 0] = L  # every argmax in one column, at the limit
+            labels = check_against_oracle(C)
+            if m <= 12:
+                # the oracle sums python ints, which cannot overflow
+                assert labels == brute_force_projection(C.astype(object)).labels.tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_float_extreme_scales(scale):
+    rng = np.random.default_rng(1500)
+    for _ in range(60):
+        K = int(rng.choice([2, 3, 4]))
+        n = int(rng.choice([K, 2 * K, 240]))
+        C = rng.standard_normal((n, K)) * scale
+        if rng.random() < 0.5:
+            C[:, 0] = np.abs(C).max()  # one column, ties at the scale
+        labels = check_against_oracle(C)
+        if n <= 12:
+            assert labels == brute_force_projection(C).labels.tolist()
+
+
+def _small_shape(rng):
+    """A shape the brute force enumerates quickly, K up to 6."""
+    return (6, 6) if rng.random() < 0.2 else _oracle_shapes(rng)
+
+
+def _near_tie_inputs(rng):
+    n, K = _small_shape(rng)
+    base = rng.integers(0, 3, size=(n, K))
+    base[0, 0] = 2  # the largest entry, which sets the tolerance
+    return base, _FLOAT_TIE_TOL * 2.0, K
+
+
+def test_float_near_ties_just_inside_the_tolerance():
+    # perturbations whose effect on any exchange cycle of at most K nodes
+    # stays below the tolerance: the integer matrix's optimum, ties included
+    rng = np.random.default_rng(1600)
+    for _ in range(300):
+        base, tol, K = _near_tie_inputs(rng)
+        eps = tol / (4 * K)
+        C = base + rng.uniform(-eps, eps, size=base.shape)
+        want = brute_force_projection(base).labels.tolist()
+        assert project_balanced(C).labels.tolist() == want
+        assert oracle_projection(C) == want
+
+
+def test_float_near_ties_just_outside_the_tolerance():
+    # gaps of 2K times the tolerance, a power of two so that every sum is
+    # exact: no exchange cycle of at most K nodes can look tight, and the
+    # float matrix's own optimum is returned
+    rng = np.random.default_rng(1700)
+    for _ in range(300):
+        base, tol, K = _near_tie_inputs(rng)
+        delta = 2.0 ** np.ceil(np.log2(2 * K * tol))
+        C = base + delta * rng.integers(0, 2, size=base.shape)
+        tol = _FLOAT_TIE_TOL * float(np.abs(C).max())
+        assert delta > 2 * K * tol / 1.01
+        want = brute_force_projection(C).labels.tolist()
+        assert project_balanced(C).labels.tolist() == want
+        assert oracle_projection(C) == want
+
+
+def test_a_stalled_dual_step_raises(monkeypatch):
+    # a line search that never moves the duals must end in an error
+    C = np.zeros((12, 3), dtype=np.int64)
+    C[:, 0] = 5
+    C[:4, 1] = 1
+    monkeypatch.setattr(projection.np, "partition", lambda a, kth: np.zeros_like(a))
+    with pytest.raises(RuntimeError, match="dual steps"):
+        project_balanced(C)
+
+
+def _count_dual_steps(monkeypatch):
+    """List that gains an entry per routing pass of ``_transport``, one
+    more than its dual steps: the total excess before and after it."""
+    passes = []
+    route = projection._route
+
+    def counting(assign, excess, *args):
+        before = int(np.maximum(excess, 0).sum())
+        reached = route(assign, excess, *args)
+        passes.append((before, int(np.maximum(excess, 0).sum())))
+        return reached
+
+    monkeypatch.setattr(projection, "_route", counting)
+    return passes
+
+
+def test_exact_line_search_moves_the_overflow_in_few_dual_steps(monkeypatch):
+    # Gaussian scores leave one tight arc per node, so a min-slack step
+    # frees about one node per dual step (some 200 here, and the proven
+    # bound allows over 300); the capped exact line search needs a few
+    passes = _count_dual_steps(monkeypatch)
+    rng = np.random.default_rng(1800)
+    for _ in range(10):
+        C = rng.standard_normal((1200, 4)) + np.array([0.5, 0.2, 0.0, 0.0])
+        assert _argmax_counts(C).max() - 300 > 50
+        passes.clear()
+        labels = project_balanced(C).labels.tolist()
+        assert len(passes) - 1 <= 40
+        assert labels == oracle_projection(C)
+
+
+# found by random search: without the cap on the step, a node crosses
+# between two full clusters and back, and the dual creeps up by 2 per step
+ZIGZAG = [
+    [96, 40, 38, 75, 2], [120, 92, 89, 0, 36], [42, 100, 74, 125, 38],
+    [132, 64, 76, 50, 20], [6, 76, 50, 50, 16], [132, 44, 9, 115, 38],
+    [126, 16, 84, 40, 24], [138, 100, 82, 65, 34], [48, 76, 82, 0, 40],
+    [30, 76, 74, 65, 50],
+]
+
+
+def test_dual_steps_stay_within_the_proven_bound(monkeypatch):
+    passes = _count_dual_steps(monkeypatch)
+    rng = np.random.default_rng(1900)
+    mats = [np.array(ZIGZAG)]
+    for _ in range(1500):
+        K = int(rng.integers(3, 7))
+        n = K * int(rng.integers(1, 6))
+        C = rng.integers(0, int(rng.integers(2, 30)), (n, K)) * rng.integers(1, 10, K)
+        C[:, rng.integers(K)] += rng.integers(0, 5, n)
+        mats.append(C)
+    for C in mats:
+        n, K = C.shape
+        excess = np.maximum(_argmax_counts(C) - n // K, 0).sum()
+        passes.clear()
+        labels = project_balanced(C).labels.tolist()
+        assert len(passes) - 1 <= (K - 1) * excess
+        # a dual step never raises the excess: no cluster overfills
+        assert all(nxt[0] <= prev[1] for prev, nxt in zip(passes, passes[1:]))
+        if C is mats[0]:
+            assert labels == brute_force_projection(C).labels.tolist()
