@@ -164,6 +164,13 @@ class Assignment:
         return Assignment(perm[self.labels], self.K, balanced=self.balanced)
 
 
+def _edge_labels(g: Hypergraph, h: Assignment) -> np.ndarray:
+    """The (E, d) labels of every edge's members, in the smallest unsigned
+    dtype that holds K itself (one byte per entry for K <= 255)."""
+    check_covers(g, h)
+    return h.labels.astype(np.min_scalar_type(h.K))[g.edges]
+
+
 def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     """Score every (node, cluster) pair with one pass over the edge list.
 
@@ -172,23 +179,33 @@ def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     all carry label k.  Equivalent to contracting each of the d-1 trailing
     modes of the implicit adjacency tensor with the one-hot label matrix,
     but linear in the edge count instead of touching n^d entries: for each
-    member position j, every edge whose other d-1 labels agree on a label k
-    contributes the key ``node * K + k`` of its j-th member, and a single
-    ``np.bincount`` over all the keys counts every (node, cluster) pair.
+    member position j, every edge contributes the key
+    ``node * (K+1) + label`` of its j-th member, where ``label`` is the one
+    its other d-1 members share, or the spare column K when they disagree.
+    One ``np.bincount`` per position adds into an n x (K+1) count, and the
+    spare column is dropped.  Nothing is compacted, and the temporaries
+    take about 20 bytes per edge.
     """
-    check_covers(g, h)
     K, d = h.K, g.d
-    edge_labels = h.labels[g.edges]  # (E, d)
-    keys = []
+    edge_labels = _edge_labels(g, h)
+    spare = edge_labels.dtype.type(K)
+    keys = np.empty(g.num_edges, dtype=np.int64)
+    counts = np.zeros(g.n * (K + 1), dtype=np.int64)
     for j in range(d):
         others = [i for i in range(d) if i != j]
         label = edge_labels[:, others[0]]
-        ok = np.ones(g.num_edges, dtype=bool)
-        for i in others[1:]:
-            ok &= edge_labels[:, i] == label
-        keys.append(g.edges[ok, j] * K + label[ok])
-    counts = np.bincount(np.concatenate(keys), minlength=g.n * K)
-    return counts.reshape(g.n, K) * math.factorial(d - 1)
+        if d > 2:
+            disagree = edge_labels[:, others[1]] != label
+            for i in others[2:]:
+                disagree |= edge_labels[:, i] != label
+            # every label is below K, so the larger of label and K * disagree
+            # is the shared label where the others agree, else the spare K
+            spread = disagree.view(np.uint8) * spare
+            label = np.maximum(spread, label, out=spread)
+        np.multiply(g.edges[:, j], K + 1, out=keys)
+        keys += label
+        counts += np.bincount(keys, minlength=counts.size)
+    return counts.reshape(g.n, K + 1)[:, :K] * math.factorial(d - 1)
 
 
 def dense_multilinear_oracle(g: Hypergraph, h: Assignment, max_n: int = 10) -> np.ndarray:
@@ -221,10 +238,11 @@ def objective(g: Hypergraph, h: Assignment) -> int:
     label; this is the quantity the solver maximizes over balanced
     assignments.
     """
-    check_covers(g, h)
-    edge_labels = h.labels[g.edges]
-    mono = int(np.all(edge_labels == edge_labels[:, :1], axis=1).sum())
-    return math.factorial(g.d) * mono
+    edge_labels = _edge_labels(g, h)
+    mono = np.ones(g.num_edges, dtype=bool)
+    for j in range(1, g.d):
+        mono &= edge_labels[:, j] == edge_labels[:, 0]
+    return math.factorial(g.d) * int(np.count_nonzero(mono))
 
 
 # --- text formats (1-based on disk, 0-based in memory) ---

@@ -40,6 +40,8 @@ class TraceRecord:
     """One trajectory point; ``iteration`` 0 is the balanced starting point.
 
     ``changed`` counts the labels this iteration moved (0 for the start).
+    ``score_ms`` and ``project_ms`` are the parts of ``wall_ms`` spent
+    scoring and projecting (both 0 for the start).
     """
 
     iteration: int
@@ -47,6 +49,8 @@ class TraceRecord:
     distance: float | None
     wall_ms: float
     changed: int = 0
+    score_ms: float = 0.0
+    project_ms: float = 0.0
 
 
 @dataclass
@@ -115,13 +119,13 @@ def ptpm(
         labels[real] = project_balanced(C[real]).labels
         return Assignment(labels, K, balanced=not dummy.size)
 
-    def measure(iteration, a, wall_ms, changed, obj=None):
+    def measure(iteration, a, wall_ms, changed, obj=None, score_ms=0.0, project_ms=0.0):
         # obj stays None until a later step scores this iterate
         dist = None
         if truth is not None:
             cand = a if truth.n == g.n else Assignment(a.labels[real], K)
             _, dist = align_and_distance(cand, truth)
-        return TraceRecord(iteration, obj, dist, wall_ms, changed)
+        return TraceRecord(iteration, obj, dist, wall_ms, changed, score_ms, project_ms)
 
     t0 = time.perf_counter()
     current = project_step(h0.one_hot())
@@ -135,16 +139,21 @@ def ptpm(
     for t in range(1, max_iters + 1):
         t0 = time.perf_counter()
         scores = multilinear_score(g, current)
+        score_ms = (time.perf_counter() - t0) * 1e3
         if record_trajectory:
             obj = int(scores[nodes, current.labels].sum())  # d! x monochromatic edges
             records[-1] = replace(records[-1], objective=obj)
+        t1 = time.perf_counter()
         nxt = project_step(scores)
+        project_ms = (time.perf_counter() - t1) * 1e3
         iterations_run = t
         changed = int(np.count_nonzero(nxt.labels != current.labels))
         current = nxt
         if record_trajectory:
             wall_ms = (time.perf_counter() - t0) * 1e3
-            records.append(measure(t, current, wall_ms, changed, None if changed else obj))
+            records.append(
+                measure(t, current, wall_ms, changed, None if changed else obj, score_ms, project_ms)
+            )
         if early_stop and not changed:
             converged = True
             break

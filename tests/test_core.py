@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,73 @@ def test_score_matches_dense_oracle_every_K(d):
             n = int(rng.integers(d, 9))
             g, h = random_instance(rng, n, d, K, edge_prob=float(rng.choice([0.0, 0.3, 0.8])))
             assert np.array_equal(multilinear_score(g, h), dense_multilinear_oracle(g, h))
+
+
+# --- compact label dtype: K next to the uint8 / uint16 / uint32 boundaries ---
+
+
+def top_labels(rng, n, K, few=3):
+    """Labels from the top ``few`` clusters, so that the counts of real
+    columns sit right next to the spare column K; sometimes one node in
+    cluster 0, so the smallest code occurs too."""
+    labels = rng.integers(K - few, K, size=n)
+    if rng.random() < 0.5:
+        labels[rng.integers(0, n)] = 0
+    return Assignment(labels, K)
+
+
+def check_score(g, h, oracle):
+    C = multilinear_score(g, h)
+    assert C.dtype == np.int64 and C.shape == (g.n, h.K)
+    assert np.array_equal(C, oracle(g, h))
+    assert objective(g, h) == C[np.arange(g.n), h.labels].sum()
+    return C
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("K", [255, 256, 257, 65535, 65536])
+def test_score_matches_add_at_sweep_at_dtype_boundaries(d, K):
+    rng = np.random.default_rng([47, d, K])
+    n = 40  # keeps the n x K count small at K = 65536
+    for _ in range(6):
+        g, _ = random_sparse_instance(rng, n, d, 2, int(rng.integers(1, 8 * n)))
+        check_score(g, top_labels(rng, n, K), add_at_sweep)
+    empty = Hypergraph(n, d, np.empty((0, d), dtype=np.int64))
+    assert not check_score(empty, top_labels(rng, n, K), add_at_sweep).any()
+    for label in (0, K - 1):  # one label for every node
+        check_score(g, Assignment(np.full(n, label), K), add_at_sweep)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_score_matches_dense_oracle_large_K(d):
+    rng = np.random.default_rng(300 + d)
+    for K in [255, 256, 257, 300, *rng.integers(5, 300, size=3).tolist()]:
+        for _ in range(4):
+            n = int(rng.integers(d, 10))
+            g, _ = random_instance(rng, n, d, 2, edge_prob=float(rng.choice([0.0, 0.5, 0.9])))
+            check_score(g, top_labels(rng, n, K), dense_multilinear_oracle)
+        check_score(g, Assignment(np.full(n, K - 1), K), dense_multilinear_oracle)
+
+
+def test_score_memory_stays_below_an_int64_label_gather():
+    # the old scorer's (E, d) int64 label gather alone took 8 d E bytes
+    rng = np.random.default_rng(5)
+    n, d, K = 2000, 3, 4
+    rows = np.sort(rng.integers(0, n, size=(60_000, d)), axis=1)
+    g = Hypergraph(n, d, np.unique(rows[np.all(np.diff(rows, axis=1) > 0, axis=1)], axis=0))
+    E = g.num_edges
+    assert E >= 50_000
+    allowance = 4 * 8 * n * (K + 1)  # the n x (K+1) counts and the output
+    planted = np.repeat(np.arange(K), n // K)
+    for labels in (rng.integers(0, K, size=n), planted):
+        h = Assignment(labels, K)
+        tracemalloc.start()
+        try:
+            multilinear_score(g, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * E + allowance
 
 
 # --- text formats ---

@@ -315,3 +315,13 @@ def test_objective_is_counted_at_most_once(monkeypatch):
                 assert calls["objective"] == 0
             if report.iterations_run == 0 and record:
                 assert calls["objective"] == 1
+
+
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_trace_splits_step_time(case):
+    g, h0, kw = TRAJECTORY_CASES[case]
+    start, *steps = ptpm(g, h0, **kw).trajectory
+    assert start.score_ms == start.project_ms == 0.0
+    for rec in steps:
+        assert rec.score_ms >= 0 and rec.project_ms >= 0
+        assert rec.score_ms + rec.project_ms <= rec.wall_ms
