@@ -34,13 +34,13 @@ from .experiments import (
     make_initializer,
     mix_seed,
     phase_transition,
-    shuffled_truth,
+    planted_instance,
     timing_benchmark,
     uci_votes_pipeline,
     write_csv,
 )
 from .metrics import align_and_distance, exact_recovery, misclassification_rate
-from .sampler import LogRegimeParams, ModelParams, sample, to_probabilities
+from .sampler import LogRegimeParams, ModelParams, to_probabilities
 from .solver import ptpm
 
 
@@ -97,9 +97,7 @@ def _probabilities(args):
 
 def cmd_sample(args):
     _require(args, "n", "k", "out")
-    params = _probabilities(args)
-    truth = shuffled_truth(params.n, params.K, mix_seed(args.seed, 2))
-    g = sample(params, truth, args.seed)
+    g, truth = planted_instance(_probabilities(args), args.seed)
     write_hypergraph(g, args.out)
     if args.truth_out:
         write_assignment(truth, args.truth_out)

@@ -151,8 +151,8 @@ class Assignment:
             np.all(self.counts() == self.n // self.K)
         )
 
-    def one_hot(self, dtype=np.int64) -> np.ndarray:
-        H = np.zeros((self.n, self.K), dtype=dtype)
+    def one_hot(self) -> np.ndarray:
+        H = np.zeros((self.n, self.K), dtype=np.int64)
         H[np.arange(self.n), self.labels] = 1
         return H
 

@@ -16,7 +16,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "mix_seed",
     "block_truth",
     "shuffled_truth",
+    "planted_instance",
     "make_initializer",
     "phase_transition",
     "threshold_curve",
@@ -176,78 +177,58 @@ def write_csv(path, header, rows):
             w.writerow([_fmt(x) for x in row])
 
 
+def planted_instance(params, seed: int) -> tuple[Hypergraph, Assignment]:
+    """``(g, truth)`` of a phase trial, as ``hyperclust sample --seed`` draws it:
+    a shuffled balanced truth, then the hypergraph sampled on it."""
+    truth = shuffled_truth(params.n, params.K, mix_seed(seed, 2))
+    return sample(params, truth, seed), truth
+
+
 def _phase_task(payload) -> ResultRow:
     (n, d, K, alpha, beta, trial, seed, init_name, max_iters) = payload
-    params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
-    truth = shuffled_truth(n, K, mix_seed(seed, 2))
-    g = sample(params, truth, seed)
+    try:
+        params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
+    except ValueError:  # the cell's probabilities leave [0, 1]
+        return ResultRow(alpha, beta, trial, seed, None, None, None, None, skipped=True)
+    g, truth = planted_instance(params, seed)
     initializer = make_initializer(init_name)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         # capped-basis notices are expected while sweeping no-signal cells
         warnings.simplefilter("ignore", UserWarning)
         h0 = initializer(g, K, truth, mix_seed(seed, 1))
-    report = ptpm(g, h0, max_iters, truth=truth, record_trajectory=False)
+    report = ptpm(g, h0, max_iters, record_trajectory=False)
     wall_ms = (time.perf_counter() - t0) * 1e3
     mis = misclassification_rate(report.final, truth)
-    return ResultRow(
-        alpha=alpha,
-        beta=beta,
-        trial=trial,
-        seed=seed,
-        success=mis == 0.0,
-        iterations_run=report.iterations_run,
-        misclassification=mis,
-        wall_ms=wall_ms,
-    )
+    return ResultRow(alpha, beta, trial, seed, mis == 0.0, report.iterations_run, mis, wall_ms)
 
 
 def phase_transition(cfg: GridConfig, out=None):
     """Run the full (alpha, beta) grid and pivot the success ratios.
 
-    Returns ``(rows, ratios)`` where ``ratios[(alpha, beta)]`` is the
-    fraction of exactly recovered trials (None for skipped cells).  When
-    ``out`` is given, writes the raw rows there plus ``*_ratio.csv`` (the
-    pivot) and ``*_threshold.csv`` (the analytic curve) next to it.
+    Returns ``(rows, ratios)``: ``cfg.trials`` consecutive rows per cell in
+    grid order, and ``ratios[(alpha, beta)]`` the fraction of exactly
+    recovered trials (None for skipped cells).  When ``out`` is given,
+    writes the raw rows there plus ``*_ratio.csv`` (the pivot) and
+    ``*_threshold.csv`` (the analytic curve) next to it.
     """
-    payloads = []
-    skipped_rows = []
-    for ai, alpha in enumerate(cfg.alphas):
-        for bi, beta in enumerate(cfg.betas):
-            cell = ai * len(cfg.betas) + bi
-            try:
-                to_probabilities(LogRegimeParams(cfg.n, cfg.d, cfg.K, alpha, beta))
-                ok = True
-            except ValueError:
-                ok = False
-            for trial in range(cfg.trials):
-                seed = mix_seed(cfg.base_seed, cell, trial)
-                if ok:
-                    payloads.append(
-                        (cfg.n, cfg.d, cfg.K, alpha, beta, trial, seed, cfg.init, cfg.max_iters)
-                    )
-                else:
-                    skipped_rows.append(
-                        ResultRow(alpha, beta, trial, seed, None, None, None, None, skipped=True)
-                    )
+    cells = list(product(cfg.alphas, cfg.betas))
+    payloads = [
+        (cfg.n, cfg.d, cfg.K, alpha, beta, trial, mix_seed(cfg.base_seed, cell, trial),
+         cfg.init, cfg.max_iters)
+        for cell, (alpha, beta) in enumerate(cells)
+        for trial in range(cfg.trials)
+    ]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            solved = list(pool.map(_phase_task, payloads, chunksize=4))
+            rows = list(pool.map(_phase_task, payloads, chunksize=4))
     else:
-        solved = [_phase_task(p) for p in payloads]
-    rows = sorted(
-        solved + skipped_rows,
-        key=lambda r: (cfg.alphas.index(r.alpha), cfg.betas.index(r.beta), r.trial),
-    )
+        rows = [_phase_task(p) for p in payloads]
 
     ratios = {}
-    for alpha in cfg.alphas:
-        for beta in cfg.betas:
-            cell_rows = [r for r in rows if r.alpha == alpha and r.beta == beta]
-            if any(r.skipped for r in cell_rows):
-                ratios[(alpha, beta)] = None
-            else:
-                ratios[(alpha, beta)] = sum(r.success for r in cell_rows) / len(cell_rows)
+    for key, start in zip(cells, range(0, len(rows), cfg.trials)):
+        cell_rows = rows[start : start + cfg.trials]  # a cell's trials share its skip
+        ratios[key] = None if cell_rows[0].skipped else sum(r.success for r in cell_rows) / cfg.trials
 
     if out is not None:
         out = Path(out)
@@ -439,7 +420,7 @@ def uci_votes_pipeline(
     t0 = time.perf_counter()
     for r in range(restarts):
         h0 = random_init(g.n, 2, mix_seed(seed, 1, r))
-        report = ptpm(g, h0, max_iters, truth=truth, record_trajectory=False)
+        report = ptpm(g, h0, max_iters, record_trajectory=False)
         score = objective(g, report.final)
         if best is None or score > best[0]:
             best = (score, report)

@@ -30,9 +30,8 @@ def confusion_matrix(h: Assignment, truth: Assignment) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: ({h.n}, {h.K}) vs ({truth.n}, {truth.K})"
         )
-    M = np.zeros((h.K, h.K), dtype=np.int64)
-    np.add.at(M, (h.labels, truth.labels), 1)
-    return M
+    K = h.K
+    return np.bincount(h.labels * K + truth.labels, minlength=K * K).reshape(K, K)
 
 
 def _best_overlap(M: np.ndarray) -> tuple[tuple[int, ...], int]:

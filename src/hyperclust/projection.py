@@ -325,7 +325,7 @@ def _lex_min_over_ties(tight, assign):
     ``assign`` its optimal assignment.  Every optimal assignment is
     feasible and supported on tight arcs, and conversely.  A node with a
     single tight arc keeps its cluster in every optimum, so only nodes with
-    two or more take part; without any, ``assign`` is returned as it is.
+    two or more take part; without any, ``assign`` is the (int64) result.
     A greedy pass finalizes them in node order, trying clusters ascending;
     a candidate is accepted iff a slot can be freed by rerouting
     unfinalized nodes along tight arcs, a search over the K x K graph whose
@@ -337,7 +337,7 @@ def _lex_min_over_ties(tight, assign):
     n_opts = tight.sum(axis=0, dtype=np.int32)
     tied = np.flatnonzero(n_opts > 1)
     if not tied.size:
-        return assign  # unique support: nothing to break
+        return np.asarray(assign, dtype=np.int64)  # unique support: nothing to break
     cur = assign.tolist()
     ks = np.nonzero(tight[:, tied].T)[1].tolist()
     ends = np.cumsum(n_opts[tied]).tolist()
@@ -380,4 +380,4 @@ def _lex_min_over_ties(tight, assign):
                     b = a
                 cur[i] = k
                 break
-    return cur
+    return np.array(cur, dtype=np.int64)

@@ -1,10 +1,21 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
 from hyperclust.cli import load_config, main
 from hyperclust.core import read_assignment, read_hypergraph
+from hyperclust.experiments import (
+    GridConfig,
+    make_initializer,
+    mix_seed,
+    phase_transition,
+    planted_instance,
+)
+from hyperclust.metrics import misclassification_rate
+from hyperclust.sampler import LogRegimeParams, to_probabilities
+from hyperclust.solver import ptpm
 
 
 def run(capsys, *argv):
@@ -90,6 +101,39 @@ def test_phase_subcommand(tmp_path, capsys):
     assert "cells" in out
     with open(out_path) as f:
         assert len(list(csv.DictReader(f))) == 4
+
+
+def test_sample_reproduces_a_phase_row(tmp_path, capsys):
+    cfg = GridConfig(
+        n=30, d=3, K=2, alphas=(8.0, 45.0, 5000.0), betas=(2.0,), trials=2,
+        init="spectral", max_iters=10, base_seed=11,
+    )
+    rows, _ = phase_transition(cfg)
+    assert rows[-1].skipped  # alpha=5000 drives p past 1 at n=30
+    row = next(r for r in rows if r.misclassification)  # a solved trial that misses
+    g_path, t_path = str(tmp_path / "g.txt"), str(tmp_path / "t.txt")
+    run(
+        capsys,
+        "sample",
+        "--n", str(cfg.n), "--d", str(cfg.d), "--k", str(cfg.K),
+        "--alpha", repr(row.alpha), "--beta", repr(row.beta),
+        "--seed", str(row.seed),
+        "--out", g_path,
+        "--truth-out", t_path,
+    )
+    params = to_probabilities(LogRegimeParams(cfg.n, cfg.d, cfg.K, row.alpha, row.beta))
+    g, truth = planted_instance(params, row.seed)
+    written, written_truth = read_hypergraph(g_path), read_assignment(t_path, cfg.K)
+    assert written.num_edges > 0
+    assert np.array_equal(written.edges, g.edges)
+    assert written_truth.labels.tolist() == truth.labels.tolist()
+
+    # solve the written files as the grid task does
+    with warnings.catch_warnings():  # capped-basis notices are expected
+        warnings.simplefilter("ignore", UserWarning)
+        h0 = make_initializer(cfg.init)(written, cfg.K, written_truth, mix_seed(row.seed, 1))
+    report = ptpm(written, h0, cfg.max_iters, record_trajectory=False)
+    assert misclassification_rate(report.final, written_truth) == row.misclassification
 
 
 def test_converge_and_bench_subcommands(tmp_path, capsys):

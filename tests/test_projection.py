@@ -225,6 +225,17 @@ def _oracle_shapes(rng):
     return n, K
 
 
+def test_lex_min_over_ties_returns_int64_labels_on_both_branches():
+    # one tight arc per node: nothing to break, the assignment comes back
+    out = _lex_min_over_ties(np.eye(2, dtype=bool), np.array([0, 1], dtype=np.int32))
+    assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert out.tolist() == [0, 1]
+    # every arc tight: the greedy pass reads off the lex-min optimum
+    out = _lex_min_over_ties(np.ones((2, 2), dtype=bool), np.array([1, 0]))
+    assert isinstance(out, np.ndarray) and out.dtype == np.int64
+    assert out.tolist() == [0, 1]
+
+
 def test_balanced_argmax_with_tied_rows_matches_oracle():
     # each row's first maximum sits at a balanced label; later columns may
     # tie it, so other optimal assignments exist
