@@ -5,75 +5,26 @@ affinities by sparse multilinear contractions, projects score matrices
 exactly onto balanced assignments, and iterates the two to recover the
 planted communities.  Experiment drivers reproduce phase-transition,
 convergence, timing, and voting-record studies as CSV artifacts.
+
+The public names are each module's own ``__all__``.
 """
 
-from .core import (
-    Assignment,
-    Hypergraph,
-    dense_multilinear_oracle,
-    multilinear_score,
-    objective,
-    read_assignment,
-    read_hypergraph,
-    write_assignment,
-    write_hypergraph,
-)
-from .initializers import (
-    EigensolverError,
-    corrupt,
-    random_init,
-    similarity_matrix,
-    spectral_init,
-)
-from .metrics import (
-    align_and_distance,
-    confusion_matrix,
-    exact_recovery,
-    misclassification_rate,
-)
-from .projection import brute_force_projection, project_balanced
-from .sampler import (
-    LogRegimeParams,
-    ModelParams,
-    pool_sizes,
-    sample,
-    to_probabilities,
-    uniformize,
-)
-from .solver import SolveReport, TraceRecord, ptpm, theoretical_iteration_budget
+from . import core, initializers, metrics, projection, sampler, solver
+from .core import *  # noqa: F403
+from .initializers import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .projection import *  # noqa: F403
+from .sampler import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
-    "Hypergraph",
-    "multilinear_score",
-    "dense_multilinear_oracle",
-    "objective",
-    "read_hypergraph",
-    "write_hypergraph",
-    "read_assignment",
-    "write_assignment",
-    "project_balanced",
-    "brute_force_projection",
-    "ModelParams",
-    "LogRegimeParams",
-    "to_probabilities",
-    "pool_sizes",
-    "sample",
-    "uniformize",
-    "random_init",
-    "spectral_init",
-    "corrupt",
-    "similarity_matrix",
-    "EigensolverError",
-    "align_and_distance",
-    "confusion_matrix",
-    "misclassification_rate",
-    "exact_recovery",
-    "ptpm",
-    "SolveReport",
-    "TraceRecord",
-    "theoretical_iteration_budget",
+    *core.__all__,
+    *initializers.__all__,
+    *metrics.__all__,
+    *projection.__all__,
+    *sampler.__all__,
+    *solver.__all__,
     "__version__",
 ]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: sample, solve, score, phase, converge, bench, uci.  Shared
-flags: ``--seed``, ``--threads`` (falling back to the HYPERCLUST_THREADS
-environment variable), ``--config`` (a flat ``key = value`` file mirroring
-the long flag names), ``--out``.
+Subcommands: sample, solve, score, phase, converge, bench, uci.  Each takes
+only the flags it reads: all take ``--config`` (a flat ``key = value`` file
+mirroring the long flag names), all but ``score`` take ``--seed`` and
+``--out``, and ``phase`` alone takes ``--threads`` (falling back to the
+HYPERCLUST_THREADS environment variable).  Each epilog joins the column list
+in ``experiments`` that its CSV writer uses.
 
 Each option takes its value from the flag if given, else from the config
 file, else from the library function's own default (``--threads`` reads
@@ -28,16 +30,21 @@ from .core import (
     write_hypergraph,
 )
 from .experiments import (
+    CONVERGENCE_COLUMNS,
     RAW_COLUMNS,
+    SCORE_COLUMNS,
+    TIMING_COLUMNS,
+    TRACE_COLUMNS,
     GridConfig,
     convergence_trace,
+    format_field,
     make_initializer,
     mix_seed,
     phase_transition,
     planted_instance,
     timing_benchmark,
     uci_votes_pipeline,
-    write_csv,
+    write_records,
 )
 from .metrics import align_and_distance, exact_recovery, misclassification_rate
 from .sampler import LogRegimeParams, ModelParams, to_probabilities
@@ -114,11 +121,7 @@ def cmd_solve(args):
     if args.out:
         write_assignment(report.final, args.out)
     if args.trace and report.trajectory:
-        rows = [
-            (rec.iteration, rec.objective, rec.distance, rec.wall_ms)
-            for rec in report.trajectory
-        ]
-        write_csv(args.trace, ["iteration", "objective", "distance", "wall_ms"], rows)
+        write_records(args.trace, TRACE_COLUMNS, map(vars, report.trajectory))
     line = (
         f"iterations={report.iterations_run} fixed_point={int(report.converged_by_fixed_point)} "
         f"objective={objective(g, report.final)}"
@@ -140,8 +143,9 @@ def cmd_score(args):
     _, dist = align_and_distance(pred, truth)
     rate = misclassification_rate(pred, truth)
     exact = exact_recovery(pred, truth)
-    print("distance,misclassification,exact")
-    print(f"{dist!r},{rate!r},{int(exact)}")
+    score = dict(distance=dist, misclassification=rate, exact=exact)
+    print(",".join(SCORE_COLUMNS))
+    print(",".join(format_field(score[c]) for c in SCORE_COLUMNS))
     return 0
 
 
@@ -196,7 +200,7 @@ def cmd_bench(args):
         **_given(args, "iters", base_seed="seed"),
     )
     for r in results:
-        print(f"n={r['n']} edges={r['edges']} per_iter_ms={r['per_iter_ms']:.3f}")
+        print("n={n} edges={edges} per_iter_ms={per_iter_ms:.3f}".format_map(r))
     return 0
 
 
@@ -214,14 +218,15 @@ def cmd_uci(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, help="base 64-bit seed (default 0)")
-    p.add_argument("--threads", type=int, help="worker count (HYPERCLUST_THREADS fallback)")
+def _subcommand(sub, name, func, help, writes=True):
+    """A subcommand taking ``--config``, and ``--seed`` and ``--out`` if it ``writes``."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--out", help="output path")
-
-
-_RESULT_COLUMNS = ",".join(RAW_COLUMNS)
+    if writes:
+        p.add_argument("--seed", type=int, help="base 64-bit seed (default 0)")
+        p.add_argument("--out", help="output path")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser(config=None):
@@ -232,8 +237,7 @@ def build_parser(config=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw a planted-partition hypergraph")
-    _add_common(p)
+    p = _subcommand(sub, "sample", cmd_sample, help="draw a planted-partition hypergraph")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
@@ -242,14 +246,10 @@ def build_parser(config=None):
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--truth-out", dest="truth_out", help="also write the planted labels")
-    p.set_defaults(func=cmd_sample, seed=0)
+    p.set_defaults(seed=0)
 
-    p = sub.add_parser(
-        "solve",
-        help="recover communities from a hypergraph file",
-        epilog="--trace CSV columns: iteration,objective,distance,wall_ms",
-    )
-    _add_common(p)
+    p = _subcommand(sub, "solve", cmd_solve, help="recover communities from a hypergraph file")
+    p.epilog = f"--trace CSV columns: {','.join(TRACE_COLUMNS)}"
     p.add_argument("--graph", help="hypergraph file")
     p.add_argument("--k", type=int)
     p.add_argument("--init", default="random", help="random | spectral | corrupt:<swaps>")
@@ -257,25 +257,19 @@ def build_parser(config=None):
     p.add_argument("--truth", help="labels file; enables distance reporting")
     p.add_argument("--trace", help="per-iteration CSV output")
     p.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
-    p.set_defaults(func=cmd_solve, seed=0)
+    p.set_defaults(seed=0)
 
-    p = sub.add_parser(
-        "score",
-        help="compare two labelings",
-        epilog="prints one CSV row: distance,misclassification,exact",
-    )
-    _add_common(p)
+    p = _subcommand(sub, "score", cmd_score, writes=False, help="compare two labelings")
+    p.epilog = f"prints one CSV row: {','.join(SCORE_COLUMNS)}"
     p.add_argument("--pred", help="predicted labels file")
     p.add_argument("--truth", help="reference labels file")
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser(
-        "phase",
-        help="success-ratio grid over (alpha, beta)",
-        epilog=f"raw CSV columns: {_RESULT_COLUMNS}; also writes *_ratio.csv "
-        "(alpha rows x beta columns) and *_threshold.csv (alpha,beta)",
+    p = _subcommand(sub, "phase", cmd_phase, help="success-ratio grid over (alpha, beta)")
+    p.epilog = (
+        f"raw CSV columns: {','.join(RAW_COLUMNS)}; also writes *_ratio.csv "
+        "(alpha rows x beta columns) and *_threshold.csv (alpha,beta)"
     )
-    _add_common(p)
+    p.add_argument("--threads", type=int, help="worker count (HYPERCLUST_THREADS fallback)")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
@@ -284,14 +278,10 @@ def build_parser(config=None):
     p.add_argument("--trials", type=int)
     p.add_argument("--init", help="random | spectral | corrupt:<swaps>")
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.set_defaults(func=cmd_phase, threads=os.environ.get("HYPERCLUST_THREADS") or None)
+    p.set_defaults(threads=os.environ.get("HYPERCLUST_THREADS") or None)
 
-    p = sub.add_parser(
-        "converge",
-        help="distance trajectories of random restarts",
-        epilog="CSV columns: restart,iteration,distance,objective,wall_ms",
-    )
-    _add_common(p)
+    p = _subcommand(sub, "converge", cmd_converge, help="distance trajectories of random restarts")
+    p.epilog = f"CSV columns: {','.join(CONVERGENCE_COLUMNS)}"
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
@@ -299,35 +289,24 @@ def build_parser(config=None):
     p.add_argument("--beta", type=float)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser(
-        "bench",
-        help="per-iteration timing across sizes",
-        epilog="CSV columns: n,d,K,alpha,beta,edges,iterations,total_ms,per_iter_ms",
-    )
-    _add_common(p)
+    p = _subcommand(sub, "bench", cmd_bench, help="per-iteration timing across sizes")
+    p.epilog = f"CSV columns: {','.join(TIMING_COLUMNS)}"
     p.add_argument("--sizes", type=_ints, help="comma-separated node counts")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--iters", type=int)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser(
-        "uci",
-        help="voting-records pipeline",
-        epilog=f"CSV columns: {_RESULT_COLUMNS}",
-    )
-    _add_common(p)
+    p = _subcommand(sub, "uci", cmd_uci, help="voting-records pipeline")
+    p.epilog = f"CSV columns: {','.join(RAW_COLUMNS)}"
     p.add_argument("--data", help="raw comma-separated voting file")
     p.add_argument("--columns", type=_ints, help="1-based issue columns, comma-separated")
     p.add_argument("--edge-prob", dest="edge_prob", type=float)
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--per-party", dest="per_party", type=int)
-    p.set_defaults(func=cmd_uci)
 
     if config:
         for p in sub.choices.values():

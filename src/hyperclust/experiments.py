@@ -15,7 +15,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 from pathlib import Path
 
@@ -119,6 +119,8 @@ class GridConfig:
             raise ValueError("alpha/beta grids must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
+        # the model's own checks, so that a cell is skipped only for its probabilities
+        LogRegimeParams(self.n, self.d, self.K, min(self.alphas), min(self.betas))
         make_initializer(self.init)  # validate eagerly
 
     @classmethod
@@ -138,8 +140,8 @@ def _inclusive(start, stop, step):
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Flat outcome record for one solve; ``skipped`` marks cells whose
-    derived probabilities leave [0, 1]."""
+    """Flat outcome record for one solve; ``skipped`` marks a phase cell whose
+    derived probabilities leave [0, 1], or a voting-record solve with no edges."""
 
     alpha: float
     beta: float
@@ -156,10 +158,16 @@ class ResultRow:
             raise ValueError("success implies zero misclassification")
 
 
+# Column order of each CSV; writers read every column by name.
 RAW_COLUMNS = [f.name for f in fields(ResultRow)]
+TRACE_COLUMNS = ["iteration", "objective", "distance", "wall_ms"]
+CONVERGENCE_COLUMNS = ["restart", "iteration", "distance", "objective", "wall_ms"]
+TIMING_COLUMNS = ["n", "d", "K", "alpha", "beta", "edges", "iterations", "total_ms", "per_iter_ms"]
+SCORE_COLUMNS = ["distance", "misclassification", "exact"]
 
 
-def _fmt(x):
+def format_field(x):
+    """A CSV field: empty for None, 0/1 for a bool, round-trip repr for a float."""
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -174,7 +182,12 @@ def write_csv(path, header, rows):
         w = csv.writer(f)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(x) for x in row])
+            w.writerow([format_field(x) for x in row])
+
+
+def write_records(path, columns, records):
+    """``write_csv`` with each row read from a mapping by its column names."""
+    write_csv(path, columns, ([rec[c] for c in columns] for rec in records))
 
 
 def planted_instance(params, seed: int) -> tuple[Hypergraph, Assignment]:
@@ -186,8 +199,9 @@ def planted_instance(params, seed: int) -> tuple[Hypergraph, Assignment]:
 
 def _phase_task(payload) -> ResultRow:
     (n, d, K, alpha, beta, trial, seed, init_name, max_iters) = payload
+    lp = LogRegimeParams(n, d, K, alpha, beta)
     try:
-        params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
+        params = to_probabilities(lp)
     except ValueError:  # the cell's probabilities leave [0, 1]
         return ResultRow(alpha, beta, trial, seed, None, None, None, None, skipped=True)
     g, truth = planted_instance(params, seed)
@@ -232,7 +246,7 @@ def phase_transition(cfg: GridConfig, out=None):
 
     if out is not None:
         out = Path(out)
-        write_csv(out, RAW_COLUMNS, [astuple(r) for r in rows])
+        write_records(out, RAW_COLUMNS, map(vars, rows))
         ratio_rows = [
             [alpha] + [("" if ratios[(alpha, beta)] is None else ratios[(alpha, beta)]) for beta in cfg.betas]
             for alpha in cfg.alphas
@@ -278,12 +292,8 @@ def convergence_trace(
         report = ptpm(g, h0, max_iters, truth=truth)
         traces.append(report.trajectory)
     if out is not None:
-        rows = [
-            (r, rec.iteration, rec.distance, rec.objective, rec.wall_ms)
-            for r, trace in enumerate(traces)
-            for rec in trace
-        ]
-        write_csv(out, ["restart", "iteration", "distance", "objective", "wall_ms"], rows)
+        records = (dict(vars(rec), restart=r) for r, trace in enumerate(traces) for rec in trace)
+        write_records(out, CONVERGENCE_COLUMNS, records)
     return traces
 
 
@@ -292,7 +302,8 @@ def timing_benchmark(param_list, iters=10, base_seed=0, out=None):
 
     Sampling time is excluded; the solver runs exactly ``iters`` iterations
     from a random start (no early stopping) so every configuration does the
-    same amount of work.  Returns one dict per configuration.
+    same amount of work.  Returns one dict per configuration, keyed by
+    ``TIMING_COLUMNS``.
     """
     results = []
     for idx, (n, d, K, alpha, beta) in enumerate(param_list):
@@ -319,8 +330,7 @@ def timing_benchmark(param_list, iters=10, base_seed=0, out=None):
             }
         )
     if out is not None:
-        cols = ["n", "d", "K", "alpha", "beta", "edges", "iterations", "total_ms", "per_iter_ms"]
-        write_csv(out, cols, [[r[c] for c in cols] for r in results])
+        write_records(out, TIMING_COLUMNS, results)
     return results
 
 
@@ -439,5 +449,5 @@ def uci_votes_pipeline(
         skipped=g.num_edges == 0,
     )
     if out is not None:
-        write_csv(out, RAW_COLUMNS, [astuple(row)])
+        write_records(out, RAW_COLUMNS, [vars(row)])
     return g, truth, row

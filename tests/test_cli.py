@@ -1,10 +1,12 @@
+import argparse
 import csv
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from hyperclust.cli import load_config, main
+from hyperclust.cli import build_parser, load_config, main
 from hyperclust.core import read_assignment, read_hypergraph
 from hyperclust.experiments import (
     GridConfig,
@@ -151,7 +153,8 @@ def test_converge_and_bench_subcommands(tmp_path, capsys):
         assert len(list(csv.DictReader(f))) == 2
 
 
-def test_uci_subcommand(tmp_path, capsys):
+def write_votes(tmp_path):
+    """Ten members per party, voting their party's line on 90% of issues."""
     votes = tmp_path / "votes.data"
     rng = np.random.default_rng(0)
     rows = []
@@ -160,6 +163,11 @@ def test_uci_subcommand(tmp_path, capsys):
         for _ in range(10):
             rows.append([party] + [flip if rng.random() < 0.1 else base for _ in range(16)])
     votes.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    return votes
+
+
+def test_uci_subcommand(tmp_path, capsys):
+    votes = write_votes(tmp_path)
     out = run(
         capsys,
         "uci",
@@ -257,3 +265,101 @@ def test_zero_clusters_exit_cleanly(tmp_path, capsys):
         code = main(["solve", "--graph", g_path, "--k", "0", "--init", init])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def subcommands():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def options(parser):
+    return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    parsers = subcommands()
+    assert sum(len(options(p)) for p in parsers.values()) == 64
+    takes = {name: {s for a in options(p) for s in a.option_strings} for name, p in parsers.items()}
+    assert [name for name, flags in takes.items() if "--threads" in flags] == ["phase"]
+    assert all("--config" in flags for flags in takes.values())
+    assert [name for name, flags in takes.items() if "--seed" not in flags] == ["score"]
+    assert [name for name, flags in takes.items() if "--out" not in flags] == ["score"]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, "--threads") for c in ("sample", "solve", "score", "converge", "bench", "uci")]
+    + [("score", "--seed"), ("score", "--out")],
+)
+def test_an_unread_flag_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_phase_threads_match_the_serial_run(tmp_path, capsys):
+    def phase(threads):
+        out_path = tmp_path / f"phase{threads}.csv"
+        run(capsys, "phase", "--n", "12", "--d", "3", "--k", "2",
+            "--alpha-range", "10:40:30", "--beta-range", "1:2:1", "--trials", "2",
+            "--init", "spectral", "--seed", "7", "--threads", str(threads), "--out", str(out_path))
+        with open(out_path) as f:
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            del row["wall_ms"]
+        return rows
+
+    serial = phase(1)
+    assert len(serial) == 8 and any(r["success"] == "1" for r in serial)
+    assert phase(2) == serial
+
+
+def test_invalid_phase_model_is_an_error_not_skipped_cells(tmp_path, capsys):
+    code = main(["phase", "--n", "10", "--k", "3", "--alpha-range", "5:5:1",
+                 "--beta-range", "1:1:1", "--out", str(tmp_path / "phase.csv")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def epilog_columns(command):
+    """The first comma-separated run of names in a subcommand's epilog."""
+    return re.search(r"\w+(?:,\w+)+", subcommands()[command].epilog).group().split(",")
+
+
+def csv_header(path):
+    with open(path) as f:
+        return next(csv.reader(f))
+
+
+def test_each_epilog_lists_the_columns_its_subcommand_writes(tmp_path, capsys):
+    g, t, pred = (str(tmp_path / name) for name in ("g.txt", "t.txt", "pred.txt"))
+    run(capsys, "sample", "--n", "12", "--k", "2", "--alpha", "45", "--beta", "2",
+        "--out", g, "--truth-out", t)
+    trace = tmp_path / "trace.csv"
+    run(capsys, "solve", "--graph", g, "--k", "2", "--truth", t, "--out", pred, "--trace", str(trace))
+    assert csv_header(trace) == epilog_columns("solve")
+
+    out = run(capsys, "score", "--pred", pred, "--truth", t)
+    assert out.splitlines()[0].split(",") == epilog_columns("score")
+
+    conv = tmp_path / "conv.csv"
+    run(capsys, "converge", "--n", "12", "--k", "2", "--alpha", "45", "--beta", "2",
+        "--restarts", "1", "--out", str(conv))
+    assert csv_header(conv) == epilog_columns("converge")
+
+    bench = tmp_path / "bench.csv"
+    run(capsys, "bench", "--sizes", "12", "--k", "2", "--alpha", "45", "--beta", "2",
+        "--iters", "1", "--out", str(bench))
+    assert csv_header(bench) == epilog_columns("bench")
+
+    phase = tmp_path / "phase.csv"
+    run(capsys, "phase", "--n", "12", "--k", "2", "--alpha-range", "45:45:1",
+        "--beta-range", "2:2:1", "--trials", "1", "--init", "random", "--out", str(phase))
+    assert csv_header(phase) == epilog_columns("phase")
+
+    uci = tmp_path / "uci.csv"
+    run(capsys, "uci", "--data", str(write_votes(tmp_path)), "--columns", "1,2,3",
+        "--edge-prob", "0.2", "--per-party", "10", "--restarts", "1", "--out", str(uci))
+    assert csv_header(uci) == epilog_columns("uci")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyperclust.experiments import (
+    TIMING_COLUMNS,
     GridConfig,
     ResultRow,
     block_truth,
@@ -46,6 +47,17 @@ def test_grid_config_from_ranges():
         GridConfig.from_ranges(12, 3, 2, (0, 12, 3), (0, 4, 2), trials=0)
     with pytest.raises(ValueError):
         GridConfig(12, 3, 2, (3,), (1,), init="bogus")
+
+
+@pytest.mark.parametrize(
+    "n,d,K,alphas",
+    [(10, 3, 3, (5.0,)), (12, 3, 2, (-5.0, 10.0)), (12, 1, 2, (5.0,))],
+    ids=["k-does-not-divide-n", "negative-alpha", "order-1"],
+)
+def test_grid_config_rejects_an_invalid_model_up_front(n, d, K, alphas):
+    # only a cell's probabilities may skip it; every other fault is the grid's
+    with pytest.raises(ValueError):
+        GridConfig(n, d, K, alphas, (1.0,))
 
 
 def test_result_row_consistency_guard():
@@ -187,6 +199,11 @@ def test_timing_benchmark_roundtrip(tmp_path):
     raw = read_rows(out)
     assert [int(r["n"]) for r in raw] == [30, 60]
     assert [int(r["edges"]) for r in raw] == [r["edges"] for r in results]
+
+
+def test_timing_results_are_keyed_by_their_columns():
+    (result,) = timing_benchmark([(30, 3, 2, 33.0, 8.0)], iters=1)
+    assert list(result) == TIMING_COLUMNS
 
 
 def test_timing_identical_seeds_identical_counts():
