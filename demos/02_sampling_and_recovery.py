@@ -30,7 +30,8 @@ g = sample(params, truth, seed=42)
 print(f"sampled {g.num_edges} hyperedges")
 
 # Spectral initialization: top-K eigenvectors of the co-occurrence matrix,
-# k-means on their rows, then projection onto balanced assignments.
+# their rows rounded to labels by pivoted QR, then projection onto balanced
+# assignments.
 h0 = spectral_init(g, K, seed=7)
 _, d0 = align_and_distance(h0, truth)
 print(f"spectral start: distance to truth {d0:.3f}")

@@ -9,9 +9,10 @@ in ``experiments`` that its CSV writer uses.
 
 Each option takes its value from the flag if given, else from the config
 file, else from the library function's own default (``--threads`` reads
-HYPERCLUST_THREADS before that).  Only options that no library function
-defaults (``--d``, ``--seed`` of ``sample`` and ``solve``, ``--init`` of
-``solve``) have a default here.  Config values are parsed by the flag's own
+HYPERCLUST_THREADS before that).  A config key that names no option of the
+chosen subcommand is a usage error, as an unknown flag is.  Only options
+that no library function defaults (``--d``, ``--seed`` of ``sample`` and
+``solve``, ``--init`` of ``solve``) have a default here.  Config values are parsed by the flag's own
 type; a flag that takes no value reads ``1``, ``true`` or ``yes`` as set.
 """
 
@@ -68,14 +69,17 @@ def load_config(path):
 
 def _config_defaults(parser, config):
     """Make config values a subcommand's defaults, so that argparse parses
-    them with each flag's own type and an explicit flag still wins."""
+    them with each flag's own type and an explicit flag still wins.  A key
+    that names none of the subcommand's options is a usage error."""
+    actions = {a.dest: a for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        parser.error(f"unrecognized config keys: {', '.join(unknown)}")
     defaults = {}
-    for action in parser._actions:
-        if action.dest in config:
-            raw = config[action.dest]
-            if action.nargs == 0:  # a flag: its value is a word, and "false" is a true string
-                raw = raw.lower() in ("1", "true", "yes")
-            defaults[action.dest] = raw
+    for dest, raw in config.items():
+        if actions[dest].nargs == 0:  # a flag: its value is a word, and "false" is a true string
+            raw = raw.lower() in ("1", "true", "yes")
+        defaults[dest] = raw
     parser.set_defaults(**defaults)
 
 
@@ -229,8 +233,9 @@ def _subcommand(sub, name, func, help, writes=True):
     return p
 
 
-def build_parser(config=None):
-    """The argument parser; ``config`` values become subcommand defaults."""
+def build_parser(config=None, command=None):
+    """The argument parser; ``config`` values become the defaults of
+    subcommand ``command``."""
     parser = argparse.ArgumentParser(
         prog="hyperclust",
         description="Community recovery on uniform hypergraphs via projected power iterations",
@@ -309,8 +314,7 @@ def build_parser(config=None):
     p.add_argument("--per-party", dest="per_party", type=int)
 
     if config:
-        for p in sub.choices.values():
-            _config_defaults(p, config)
+        _config_defaults(sub.choices[command], config)
     return parser
 
 
@@ -318,7 +322,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(load_config(args.config)).parse_args(argv)
+            args = build_parser(load_config(args.config), args.command).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -298,6 +298,19 @@ def test_an_unread_flag_is_a_usage_error(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["restart", "threads"])  # a typo, and another subcommand's flag
+def test_a_config_key_the_subcommand_does_not_read_is_a_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    out_path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", str(cfg), "--n", "24", "--k", "2",
+              "--alpha", "30", "--beta", "2", "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized config keys: {key}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_phase_threads_match_the_serial_run(tmp_path, capsys):
     def phase(threads):
         out_path = tmp_path / f"phase{threads}.csv"

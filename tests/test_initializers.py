@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hyperclust import initializers
 from hyperclust.core import Assignment, Hypergraph
 from hyperclust.experiments import block_truth, shuffled_truth
 from hyperclust.initializers import (
     EigensolverError,
     _kmeans,
-    _kmeanspp,
     _top_eigenvectors,
     corrupt,
     random_init,
@@ -112,71 +112,63 @@ def test_eigensolver_nonconvergence_diagnostics():
     assert err.value.residual > 0
 
 
-def kmeans_one_restart_at_a_time(X, K, rng, stats, restarts=20, iters=100):
-    """The per-restart Lloyd loop that ``_kmeans`` batches, as a reference.
-
-    ``stats`` counts the empty clusters resurrected and the restarts whose
-    objective ties the best one with other labels."""
-    n = X.shape[0]
-    best_labels, best_obj = None, np.inf
-    for _ in range(restarts):
-        centers = _kmeanspp(X, K, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for _ in range(iters):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for k in range(K):
-                mask = new_labels == k
-                if mask.any():
-                    centers[k] = X[mask].mean(axis=0)
-                else:
-                    stats["resurrected"] += 1
-                    centers[k] = X[int(d2.min(axis=1).argmax())]
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-        obj = float(((X - centers[labels]) ** 2).sum())
-        if obj == best_obj and not np.array_equal(labels, best_labels):
-            stats["tied"] += 1
-        if obj < best_obj:
-            best_labels, best_obj = labels, obj
-    return best_labels
+# --- pivoted-QR rounding ---
 
 
-def kmeans_inputs():
-    """Random inputs with D = K columns, as spectral_init passes, or 2 to 8.
+def same_partition(labels, truth):
+    """Equal up to a relabeling of the clusters."""
+    pairs = set(zip(labels.tolist(), truth.tolist()))
+    return len(pairs) == len(set(labels.tolist())) == len(set(truth.tolist()))
 
-    No input has one column and K > 1: numpy sums a single column pairwise,
-    so the reference's mean of many equal values can differ in the last bit
-    from ``_kmeans``'s running sum, and a tie can then break the other way.
-    """
-    rng = np.random.default_rng(31)
-    for case in range(200):
+
+def test_rounding_recovers_rotated_noisy_indicators():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
         K = int(rng.integers(1, 6))
-        n = int(rng.integers(K, 80))
-        D = K if case % 2 else int(rng.integers(2, 9))
-        kind = case % 4
-        if kind == 0:  # spectral-like: noisy cluster indicators
-            X = np.eye(K, D)[rng.integers(0, K, n)] + 0.3 * rng.standard_normal((n, D))
-        elif kind == 1:  # few distinct points, many duplicates and exact ties
-            X = rng.integers(0, 2, (n, D)).astype(np.float64)
-        elif kind == 2:  # fewer distinct points than clusters: empty clusters
-            points = rng.standard_normal((max(1, K - 1), D))
-            X = points[rng.integers(0, len(points), n)]
-        else:
-            X = rng.standard_normal((n, D))
-        yield X, K, int(rng.integers(1, 21)), int(rng.integers(1, 100)), int(rng.integers(1 << 30))
+        n = K * int(rng.integers(1, 30))
+        truth = rng.permutation(np.arange(n) % K)
+        X = np.eye(K)[truth] / math.sqrt(n / K)  # orthonormal cluster indicators
+        X += 0.1 / math.sqrt(n) * rng.standard_normal((n, K))
+        rotation, _ = np.linalg.qr(rng.standard_normal((K, K)))
+        assert same_partition(_kmeans(X @ rotation, K), truth)
 
 
-def test_batched_kmeans_matches_the_per_restart_loop():
-    stats = {"resurrected": 0, "tied": 0}
-    for X, K, restarts, iters, seed in kmeans_inputs():
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = kmeans_one_restart_at_a_time(X, K, ref_rng, stats, restarts, iters)
-        assert _kmeans(X, K, rng, restarts, iters).tolist() == expected.tolist()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert stats["resurrected"] > 0 and stats["tied"] > 0
+def test_rounding_sends_duplicates_and_ties_to_the_lowest_cluster():
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [-0.5, 0.5], [0.0, 0.0]])
+    assert _kmeans(X, 2).tolist() == [0, 1, 0, 0, 1, 0, 0]
+
+
+def test_rounding_of_a_square_basis_is_a_permutation():
+    rng = np.random.default_rng(43)
+    for K in range(1, 8):
+        Q, _ = np.linalg.qr(rng.standard_normal((K, K)))
+        assert sorted(_kmeans(Q, K).tolist()) == list(range(K))
+    column = rng.standard_normal((10, 1))
+    assert _kmeans(column / np.linalg.norm(column), 1).tolist() == [0] * 10
+
+
+def test_spectral_init_rounds_once_and_draws_nothing_after_the_eigensolver(monkeypatch):
+    rounded, states = [], []
+    kmeans, eigensolver = initializers._kmeans, initializers._top_eigenvectors
+
+    def counting_kmeans(*args):
+        rounded.append(args)
+        return kmeans(*args)
+
+    def recording_eigensolver(M, K, rng, **kwargs):
+        vecs = eigensolver(M, K, rng, **kwargs)
+        states.append((rng, rng.bit_generator.state))
+        return vecs
+
+    monkeypatch.setattr(initializers, "_kmeans", counting_kmeans)
+    monkeypatch.setattr(initializers, "_top_eigenvectors", recording_eigensolver)
+    params = to_probabilities(LogRegimeParams(60, 3, 3, 40.0, 2.0))
+    g = sample(params, block_truth(60, 3), 4)
+    for seed in range(3):
+        spectral_init(g, 3, seed)
+        assert len(rounded) == seed + 1
+        rng, state = states[-1]
+        assert rng.bit_generator.state == state
 
 
 # --- corrupt ---
