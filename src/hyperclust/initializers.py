@@ -2,7 +2,7 @@
 
 Three strategies: projecting a random Gaussian matrix onto the balanced set,
 pivoted-QR rounding of the top eigenvectors of the pairwise co-occurrence
-matrix, and controlled corruption of a known ground truth (for experiments
+operator, and controlled corruption of a known ground truth (for experiments
 that need an initial point at a prescribed distance).  All of them emit
 balanced assignments and are deterministic per seed.
 """
@@ -17,31 +17,18 @@ import numpy as np
 from .core import Assignment, Hypergraph, check_divides, seeded_rng
 from .projection import project_balanced
 
-__all__ = [
-    "random_init",
-    "spectral_init",
-    "corrupt",
-    "similarity_matrix",
-    "EigensolverError",
-]
+__all__ = ["random_init", "spectral_init", "corrupt", "EigensolverError"]
+
 
 class EigensolverError(RuntimeError):
-    """Raised when the Chebyshev-filtered subspace iteration reaches its
-    product cap before its tolerance.
-
-    Carries ``iterations``, the number of products with the operator taken
-    (the cap), the final residual, and the top-K Ritz basis reached at the
-    cap (``best_basis``).
-    """
+    """The eigensolver reached its product cap before its tolerance.  Carries
+    ``iterations`` (the products taken: the cap), the final ``residual`` and
+    the top-K Ritz basis reached at the cap (``best_basis``)."""
 
     def __init__(self, iterations, residual, tol, best_basis=None):
-        super().__init__(
-            f"eigensolver did not converge: residual {residual:.3e} > tol {tol:.1e} "
-            f"after {iterations} products"
-        )
-        self.iterations = iterations
-        self.residual = residual
-        self.best_basis = best_basis
+        super().__init__(f"eigensolver did not converge: residual {residual:.3e} "
+                         f"> tol {tol:.1e} after {iterations} products")
+        self.iterations, self.residual, self.best_basis = iterations, residual, best_basis
 
 
 def random_init(n: int, K: int, seed: int) -> Assignment:
@@ -53,11 +40,8 @@ def random_init(n: int, K: int, seed: int) -> Assignment:
 
 def similarity_matrix(g: Hypergraph) -> np.ndarray:
     """W[i, j] = number of hyperedges containing both i and j; zero diagonal.
-
-    The int64 reference for the co-occurrence matrix.  ``spectral_init``
-    does not call it: it builds its shifted float64 operator straight from
-    the edge list (``_spectral_operator``).
-    """
+    The int64 test oracle for ``_spectral_operator``, which never calls it;
+    not exported, and kept here because the benchmark traces this name."""
     W = np.zeros((g.n, g.n), dtype=np.int64)
     for a in range(g.d):
         for b in range(a + 1, g.d):
@@ -67,32 +51,30 @@ def similarity_matrix(g: Hypergraph) -> np.ndarray:
 
 
 def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> Assignment:
-    """Round the rows of the top-K eigenvector matrix of the co-occurrence
-    matrix to labels by pivoted QR (``_kmeans``), then balance the labeling
-    by projection.  The seed draws only the eigensolver's starting block.
+    """Round the rows of the top-K eigenvectors of the co-occurrence operator
+    (``_spectral_operator``: an n x n matrix only while n^2 <= 64 (E + nK),
+    so memory is O(E + nK)) to labels by pivoted QR (``_kmeans``), then
+    balance the labeling by projection.  The seed draws only the
+    eigensolver's starting block.
 
     With ``strict`` (the default) eigensolver non-convergence raises; with
-    ``strict=False`` the basis reached at the iteration cap (1000 products
-    with the operator) is used with a warning that names the products and
-    the residual.  The latter suits grid sweeps that may cross cells whose
-    K-th eigenvalue nearly ties the next, where any basis of the wobbling
-    subspace is as informative as another.
+    ``strict=False`` the basis reached at the cap (1000 products) is used,
+    with a warning that names the products and the residual: grid sweeps
+    may cross cells whose K-th eigenvalue nearly ties the next, where any
+    basis of the wobbling subspace is as informative as another.
     """
     check_divides(g.n, K)
     rng = seeded_rng(seed)
-    M, shift = _spectral_operator(g)
+    M, shift = _spectral_operator(g, K)
     try:
         vecs = _top_eigenvectors(M, K, rng, scale=shift)
     except EigensolverError as err:
         if strict:
             raise
-        warnings.warn(
-            f"eigensolver hit its iteration cap after {err.iterations} products "
-            f"(residual {err.residual:.3e}); using the capped basis"
-        )
+        warnings.warn(f"eigensolver hit its iteration cap after {err.iterations} products "
+                      f"(residual {err.residual:.3e}); using the capped basis")
         vecs = err.best_basis
-    rough = Assignment(_kmeans(vecs, K), K)
-    return project_balanced(rough.one_hot())
+    return project_balanced(Assignment(_kmeans(vecs, K), K).one_hot())
 
 
 def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
@@ -132,24 +114,24 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     return Assignment(labels, K, balanced=True)
 
 
-def _spectral_operator(g):
-    """The co-occurrence matrix shifted by the maximum degree: M = W + shift*I.
+def _spectral_operator(g, K):
+    """The co-occurrence matrix shifted by the maximum degree, M = W + shift*I,
+    as an operator for ``_top_eigenvectors``, and the shift.
 
-    Built as float64 straight from the edge list, with one ``bincount`` over
-    the keys i*n + j of every ordered member pair, so the spectral path
-    holds a single n x n array.  With B the node-by-edge incidence matrix
-    and D the diagonal of node degrees, W + D = B B^T is positive
-    semidefinite, so W + max(degree) * I is too: the shift is the maximum
-    degree, at least 1.0.  A smaller one would not do for every graph: an
-    even cycle (d = 2) has lambda_min(W) = -max degree.  That makes [0, b]
-    safe for the eigensolver's Chebyshev filter to damp, and the smaller the
-    shift, the larger (lambda_K + shift) / (b + shift) and the faster the
-    filter converges.  The entries are small integers, so M equals
-    ``similarity_matrix(g) + shift*I`` exactly.
+    With B the node-by-edge incidence matrix and D the diagonal of degrees,
+    W + D = B B^T is positive semidefinite, so W + max(degree) * I is too:
+    the least shift, which speeds the Chebyshev filter most, that is safe
+    for every graph (an even cycle, d = 2, has lambda_min(W) = -max degree),
+    and at least 1.0.  While n^2 <= 64 (E + nK) M is a dense float64 matrix,
+    the fastest product on small graphs: one ``bincount`` over the keys
+    i*n + j of every ordered member pair, equal to ``similarity_matrix(g) +
+    shift*I``.  Above that it is an ``_EdgeOperator``: O(E + nK) memory.
     """
     n, edges = g.n, g.edges
     degree = np.bincount(edges.ravel(), minlength=n)
     shift = max(float(degree.max(initial=0)), 1.0)
+    if n * n > _DENSE_RATIO * (len(edges) + n * K):
+        return _EdgeOperator(edges, shift - degree), shift
     a, b = np.nonzero(~np.eye(g.d, dtype=bool))  # every ordered member pair
     keys = (edges[:, a] * n + edges[:, b]).ravel()
     M = np.bincount(keys, weights=np.ones(keys.size), minlength=n * n)
@@ -158,29 +140,47 @@ def _spectral_operator(g):
     return M, shift
 
 
+class _EdgeOperator:
+    """M @ Q = B (B^T Q) + diag(diagonal) Q from the edge list, never forming
+    M.  On Q^T (p x n, contiguous) it sums the gathered columns of every
+    member position into S = (B^T Q)^T (p x E), then scatters each row of S
+    back with one ``bincount`` per member position."""
+
+    def __init__(self, edges, diagonal):
+        self.shape = (diagonal.size, diagonal.size)
+        self.members, self.diagonal = np.ascontiguousarray(edges.T), diagonal
+
+    def __matmul__(self, Q):
+        QT = np.ascontiguousarray(Q.T)
+        S = sum(np.take(QT, m, axis=1) for m in self.members)
+        BS = [sum(np.bincount(m, weights=s, minlength=self.shape[0]) for m in self.members) for s in S]
+        return np.array(BS, dtype=np.float64).T + self.diagonal[:, None] * Q
+
+
 # The most products with M per outer step: the Chebyshev degree, counting
 # the Rayleigh-Ritz product that the filter reuses as its first.
 _FILTER_DEGREE = 8
 # Block columns past K: the guard's Ritz value bounds the damped interval.
 _GUARD = 1
+_DENSE_RATIO = 64  # _spectral_operator is a matrix while n^2 <= 64 (E + nK)
 
 
 def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
     """Chebyshev-filtered subspace iteration for the top-K eigenvectors of M
     (Zhou & Saad, J. Comput. Phys. 2006).
 
-    M must have a nonnegative spectrum (``spectral_init`` passes
-    ``_spectral_operator``'s W + shift*I and the shift as ``scale``).  The
-    block holds K + 1 orthonormal columns.  Each outer step is a
-    Rayleigh-Ritz step on the block, then a Chebyshev polynomial of M
-    applied to the block and a QR factor of the result.  The polynomial is
-    at most 1 in magnitude on [0, b], with b the guard column's Ritz value,
-    and grows fast above b, so a degree-m step shrinks the error by about
-    T_m(2 mu_K / b - 1), where m power steps shrink it by
-    (mu_K / mu_{K+1})^m.  The degree is 8, or the lowest one that this rate
-    expects to reach ``tol``.  Convergence is declared when the residual
-    ||M Q - Q diag(theta)||_F of the top-K Ritz pairs drops below ``tol``
-    relative to ``scale``.
+    M is a matrix, or an operator with ``shape`` and ``M @ X``, with a
+    nonnegative spectrum (``spectral_init`` passes ``_spectral_operator``'s
+    W + shift*I and the shift as ``scale``).  The block holds K + 1
+    orthonormal columns.  Each outer step is a Rayleigh-Ritz step on the
+    block, then a Chebyshev polynomial of M applied to the block and a QR
+    factor of the result.  The polynomial is at most 1 in magnitude on
+    [0, b], with b the guard column's Ritz value, and grows fast above b, so
+    a degree-m step shrinks the error by about T_m(2 mu_K / b - 1), where m
+    power steps shrink it by (mu_K / mu_{K+1})^m.  The degree is 8, or the
+    lowest one that this rate expects to reach ``tol``.  Convergence is
+    declared when the residual ||M Q - Q diag(theta)||_F of the top-K Ritz
+    pairs drops below ``tol`` relative to ``scale``.
 
     ``max_iter`` caps the products with M.  A degree-m step takes m of them,
     the last for the next Rayleigh-Ritz step, and is shortened to fit the

@@ -1,6 +1,10 @@
 """The spectral start's operator and its Chebyshev-filtered subspace
 iteration.
 
+The operator has two products, a dense matrix and the edge operator, and
+both must equal ``similarity_matrix(g) + shift*I``: ``products`` forces the
+size rule each way.
+
 The block power loop that the solver replaced stays here as a reference
 (``power_iteration``): the solver must span the same top-K eigenspace as
 ``eigh`` and take at most half the loop's products with the operator.
@@ -10,6 +14,7 @@ in the budget tests.
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +25,7 @@ from hyperclust.core import Hypergraph, seeded_rng
 from hyperclust.initializers import (
     EigensolverError,
     _chebyshev_filter,
+    _EdgeOperator,
     _spectral_operator,
     _top_eigenvectors,
     similarity_matrix,
@@ -72,7 +78,7 @@ def power_iteration(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0):
 
 
 def eigenbasis(g, K, **kw):
-    M, shift = _spectral_operator(g)
+    M, shift = _spectral_operator(g, K)
     return _top_eigenvectors(M, K, seeded_rng(7), scale=shift, **kw)
 
 
@@ -147,7 +153,7 @@ def test_filter_applies_the_scaled_chebyshev_polynomial(b, degree):
 
 def count_products(g, K, max_iter, tol=1e-8):
     """Products taken and the error raised, None when the solver converged."""
-    M, shift = _spectral_operator(g)
+    M, shift = _spectral_operator(g, K)
     op = CountingOperator(M)
     try:
         _top_eigenvectors(op, K, seeded_rng(7), tol=tol, max_iter=max_iter, scale=shift)
@@ -210,26 +216,71 @@ def random_graphs():
     return graphs
 
 
+def with_ratio(ratio, build, *args):
+    """``build(*args)`` with the size rule's ratio set to ``ratio``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(initializers, "_DENSE_RATIO", ratio)
+        return build(*args)
+
+
+def products(g, K):
+    """The dense matrix and the edge operator that ``_spectral_operator``
+    builds for g, with its size rule forced each way, and the shift."""
+    dense, shift = with_ratio(math.inf, _spectral_operator, g, K)
+    edge, edge_shift = with_ratio(0, _spectral_operator, g, K)
+    assert isinstance(dense, np.ndarray) and isinstance(edge, _EdgeOperator)
+    assert edge_shift == shift
+    return dense, edge, shift
+
+
 def test_operator_is_exact():
     for g in random_graphs():
         W = similarity_matrix(g)
-        M, shift = _spectral_operator(g)
+        dense, edge, shift = products(g, 2)
         assert shift == max(float(W.sum(axis=1).max(initial=0)) / (g.d - 1), 1.0)  # max degree
-        assert M.dtype == np.float64
-        assert np.array_equal(M, W.astype(np.float64) + shift * np.eye(g.n))
+        for M in (dense, edge):
+            MI = M @ np.eye(g.n)  # sums of small integers: exact in either product
+            assert MI.dtype == np.float64
+            assert np.array_equal(MI, W.astype(np.float64) + shift * np.eye(g.n))
 
 
 def test_operator_is_positive_semidefinite():
     for g in random_graphs():
-        M, _ = _spectral_operator(g)
-        assert np.linalg.eigvalsh(M)[0] >= -1e-9
+        for M in products(g, 2)[:2]:
+            assert np.linalg.eigvalsh(M @ np.eye(g.n))[0] >= -1e-9
+
+
+def test_edge_operator_matches_the_oracle_on_random_blocks():
+    rng = np.random.default_rng(31)
+    cases = [(g, 2) for g in random_graphs()] + edge_graphs()
+    for g, K in cases:
+        _, edge, shift = products(g, K)
+        oracle = similarity_matrix(g).astype(np.float64) + shift * np.eye(g.n)
+        for width in (1, K + 1, g.n):
+            Q = rng.standard_normal((g.n, width))
+            got, expected = edge @ Q, oracle @ Q
+            assert got.shape == expected.shape
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_size_rule_boundary():
+    # n^2 = 64 (E + nK) at n = 256, K = 2 and E = 512
+    n, K = 256, 2
+    rng = np.random.default_rng(33)
+    rows = np.unique(np.sort(rng.integers(n, size=(700, 3)), axis=1), axis=0)
+    rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)][:512]
+    assert len(rows) == 512 and n * n == 64 * (len(rows) + n * K)
+    M, _ = _spectral_operator(Hypergraph(n, 3, rows), K)
+    assert isinstance(M, np.ndarray)
+    M, _ = _spectral_operator(Hypergraph(n, 3, rows[:-1]), K)
+    assert isinstance(M, _EdgeOperator)
 
 
 def test_shift_is_tight_on_an_even_cycle():
     # lambda_min(W) of an even cycle is -2, the negative of its maximum degree
     n = 12
     g = Hypergraph.from_edge_list(n, 2, [(i, (i + 1) % n) for i in range(n)])
-    M, shift = _spectral_operator(g)
+    M, shift = _spectral_operator(g, 2)
     assert shift == 2.0
     assert np.linalg.eigvalsh(similarity_matrix(g).astype(np.float64))[0] == pytest.approx(-shift)
     assert abs(np.linalg.eigvalsh(M)[0]) <= 1e-9
@@ -256,7 +307,7 @@ def test_converged_basis_spans_the_top_eigenspace():
     gapped = 0
     for g, K in cases:
         w, U = np.linalg.eigh(similarity_matrix(g).astype(np.float64))
-        M, shift = _spectral_operator(g)
+        M, shift = _spectral_operator(g, K)
         V = _top_eigenvectors(M, K, seeded_rng(7), scale=shift)  # ties converge too
         if w[-K] - w[-K - 1] > 1e-9 * shift:  # mu_K > mu_{K+1} beyond rounding
             # Davis-Kahan bounds the sine by tol * shift over the gap, and the
@@ -273,7 +324,7 @@ def test_max_degree_shift_takes_fewer_steps():
     old_shift = float((g.d - 1) * np.bincount(g.edges.ravel(), minlength=g.n).max())
     old = CountingOperator(W + old_shift * np.eye(g.n))
     power_iteration(old, K, seeded_rng(7), scale=old_shift)
-    M, shift = _spectral_operator(g)
+    M, shift = _spectral_operator(g, K)
     new = CountingOperator(M)
     power_iteration(new, K, seeded_rng(7), scale=shift)
     assert new.products <= 0.6 * old.products
@@ -291,13 +342,20 @@ BUDGET_GRAPHS = {
 @pytest.mark.parametrize("case", sorted(BUDGET_GRAPHS))
 def test_takes_at_most_half_the_power_loops_products(case):
     make, K = BUDGET_GRAPHS[case]
-    M, shift = _spectral_operator(make())
+    M, shift = _spectral_operator(make(), K)
     power = CountingOperator(M)
     U = power_iteration(power, K, seeded_rng(7), scale=shift)
     filtered = CountingOperator(M)
     V = _top_eigenvectors(filtered, K, seeded_rng(7), scale=shift)
     assert filtered.products <= 0.5 * power.products
     assert sin_largest_angle(V, U) <= 1e-6
+
+
+def test_spectral_init_gives_the_same_labels_with_either_product():
+    for g, K in gapped_graphs():
+        dense = with_ratio(math.inf, spectral_init, g, K, 5)
+        edge = with_ratio(0, spectral_init, g, K, 5)
+        assert dense.labels.tolist() == edge.labels.tolist()
 
 
 def test_spectral_init_skips_the_int64_matrix(monkeypatch):
@@ -321,6 +379,30 @@ def test_spectral_init_holds_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+def sized_like_the_spectral_benchmark():
+    """n = 3840, d = 4, K = 4 with about 20400 edges inside the clusters and
+    26200 across them, as alpha = 1000 and beta = 20 give."""
+    n, d, K = 3840, 4, 4
+    rng = np.random.default_rng([91, 8])
+    clusters = rng.permutation(n).reshape(K, n // K)
+    inside = clusters[rng.integers(K, size=(20400, 1)), rng.integers(n // K, size=(20400, d))]
+    rows = np.sort(np.concatenate([inside, rng.integers(n, size=(26200, d))]), axis=1)
+    return Hypergraph(n, d, np.unique(rows[(np.diff(rows, axis=1) > 0).all(axis=1)], axis=0)), K
+
+
+def test_spectral_init_holds_no_dense_matrix_at_the_benchmark_size():
+    g, K = sized_like_the_spectral_benchmark()
+    assert 45000 < g.num_edges < 47000
+    tracemalloc.start()
+    try:
+        h = spectral_init(g, K, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.is_balanced
+    assert peak < g.n * g.n * 8 / 4
 
 
 def test_capped_path_contract():
