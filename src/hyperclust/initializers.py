@@ -17,18 +17,30 @@ import numpy as np
 from .core import Assignment, Hypergraph, check_divides, seeded_rng
 from .projection import project_balanced
 
-__all__ = ["random_init", "spectral_init", "corrupt", "EigensolverError"]
-
+__all__ = [
+    "random_init",
+    "spectral_init",
+    "corrupt",
+    "EigensolverError",
+]
 
 class EigensolverError(RuntimeError):
-    """The eigensolver reached its product cap before its tolerance.  Carries
-    ``iterations`` (the products taken: the cap), the final ``residual`` and
-    the top-K Ritz basis reached at the cap (``best_basis``)."""
+    """Raised when the Chebyshev-filtered subspace iteration reaches its
+    product cap before its tolerance.
+
+    Carries ``iterations``, the number of products with the operator taken
+    (the cap), the final residual, and the top-K Ritz basis reached at the
+    cap (``best_basis``).
+    """
 
     def __init__(self, iterations, residual, tol, best_basis=None):
-        super().__init__(f"eigensolver did not converge: residual {residual:.3e} "
-                         f"> tol {tol:.1e} after {iterations} products")
-        self.iterations, self.residual, self.best_basis = iterations, residual, best_basis
+        super().__init__(
+            f"eigensolver did not converge: residual {residual:.3e} > tol {tol:.1e} "
+            f"after {iterations} products"
+        )
+        self.iterations = iterations
+        self.residual = residual
+        self.best_basis = best_basis
 
 
 def random_init(n: int, K: int, seed: int) -> Assignment:
@@ -40,8 +52,11 @@ def random_init(n: int, K: int, seed: int) -> Assignment:
 
 def similarity_matrix(g: Hypergraph) -> np.ndarray:
     """W[i, j] = number of hyperedges containing both i and j; zero diagonal.
-    The int64 test oracle for ``_spectral_operator``, which never calls it;
-    not exported, and kept here because the benchmark traces this name."""
+
+    The int64 test oracle for ``_spectral_operator``, which never calls it.
+    Not exported; it stays in the package because the benchmark traces
+    this name.
+    """
     W = np.zeros((g.n, g.n), dtype=np.int64)
     for a in range(g.d):
         for b in range(a + 1, g.d):
@@ -58,10 +73,11 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     eigensolver's starting block.
 
     With ``strict`` (the default) eigensolver non-convergence raises; with
-    ``strict=False`` the basis reached at the cap (1000 products) is used,
-    with a warning that names the products and the residual: grid sweeps
-    may cross cells whose K-th eigenvalue nearly ties the next, where any
-    basis of the wobbling subspace is as informative as another.
+    ``strict=False`` the basis reached at the iteration cap (1000 products
+    with the operator) is used with a warning that names the products and
+    the residual.  The latter suits grid sweeps that may cross cells whose
+    K-th eigenvalue nearly ties the next, where any basis of the wobbling
+    subspace is as informative as another.
     """
     check_divides(g.n, K)
     rng = seeded_rng(seed)
@@ -71,10 +87,13 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     except EigensolverError as err:
         if strict:
             raise
-        warnings.warn(f"eigensolver hit its iteration cap after {err.iterations} products "
-                      f"(residual {err.residual:.3e}); using the capped basis")
+        warnings.warn(
+            f"eigensolver hit its iteration cap after {err.iterations} products "
+            f"(residual {err.residual:.3e}); using the capped basis"
+        )
         vecs = err.best_basis
-    return project_balanced(Assignment(_kmeans(vecs, K), K).one_hot())
+    rough = Assignment(_kmeans(vecs, K), K)
+    return project_balanced(rough.one_hot())
 
 
 def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
@@ -153,7 +172,8 @@ class _EdgeOperator:
     def __matmul__(self, Q):
         QT = np.ascontiguousarray(Q.T)
         S = sum(np.take(QT, m, axis=1) for m in self.members)
-        BS = [sum(np.bincount(m, weights=s, minlength=self.shape[0]) for m in self.members) for s in S]
+        n = self.shape[0]
+        BS = [sum(np.bincount(m, weights=s, minlength=n) for m in self.members) for s in S]
         return np.array(BS, dtype=np.float64).T + self.diagonal[:, None] * Q
 
 

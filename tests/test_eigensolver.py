@@ -238,6 +238,8 @@ def test_operator_is_exact():
         W = similarity_matrix(g)
         dense, edge, shift = products(g, 2)
         assert shift == max(float(W.sum(axis=1).max(initial=0)) / (g.d - 1), 1.0)  # max degree
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, W.astype(np.float64) + shift * np.eye(g.n))
         for M in (dense, edge):
             MI = M @ np.eye(g.n)  # sums of small integers: exact in either product
             assert MI.dtype == np.float64
@@ -379,6 +381,22 @@ def test_spectral_init_holds_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+def test_dense_product_holds_one_dense_matrix():
+    # the graph above, with the size rule forced to the dense product
+    n = 600
+    g = planted(n, 3, 3, 3000, 600, [91, 5])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(initializers, "_DENSE_RATIO", math.inf)
+        assert isinstance(_spectral_operator(g, 3)[0], np.ndarray)
+        tracemalloc.start()
+        try:
+            spectral_init(g, 3, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert n * n * 8 <= peak < 1.5 * n * n * 8
 
 
 def sized_like_the_spectral_benchmark():
