@@ -265,6 +265,25 @@ def test_edge_operator_matches_the_oracle_on_random_blocks():
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def test_edge_operator_keeps_its_work_arrays():
+    # a fresh p x E array per product page-faults its way in on every call
+    rng = np.random.default_rng(35)
+    n, d, K = 300, 4, 4
+    rows = np.unique(np.sort(rng.integers(n, size=(12000, d)), axis=1), axis=0)
+    rows = rows[(np.diff(rows, axis=1) > 0).all(axis=1)]
+    M, _ = with_ratio(0, _spectral_operator, Hypergraph(n, d, rows), K)
+    Q = rng.standard_normal((n, K + 1))
+    first = M @ Q
+    tracemalloc.start()
+    try:
+        again = M @ Q
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    assert peak < Q.shape[1] * len(rows) * 8 / 2  # half of one p x E array
+
+
 def test_size_rule_boundary():
     # n^2 = 64 (E + nK) at n = 256, K = 2 and E = 512
     n, K = 256, 2
