@@ -1,7 +1,7 @@
 """Distance trajectories from random starting points.
 
-On a single n=480 instance, runs 8 solves from projected random Gaussian
-matrices and prints the aligned distance to the planted partition per
+On a single n=480 instance, runs 8 solves from uniformly random balanced
+labelings and prints the aligned distance to the planted partition per
 iteration.  All restarts reach distance 0 well within 30 iterations, and
 the terminal distances only ever take values in {0} or [sqrt(2), inf): on
 the balanced one-hot set there is nothing strictly between.

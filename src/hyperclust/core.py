@@ -46,6 +46,19 @@ def check_divides(n: int, K: int) -> None:
         raise ValueError(f"K={K} must divide n={n}, both positive")
 
 
+def as_int64(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array.  Input of a non-integer dtype must hold
+    whole numbers: 1.7 is an error, not node or label 1."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        return np.asarray(a, dtype=np.int64)
+    with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the compare
+        whole = a.astype(np.int64)
+    if not np.array_equal(whole, a):
+        raise ValueError(f"{what} must be whole numbers")
+    return whole
+
+
 def check_covers(g: Hypergraph, h: Assignment) -> None:
     """Reject a labeling whose node count differs from the hypergraph's."""
     if h.n != g.n:
@@ -73,7 +86,7 @@ class Hypergraph:
             raise ValueError("node count must be a positive integer")
         if d < 2:
             raise ValueError("hyperedge order must be an integer >= 2")
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = as_int64(self.edges, "node ids")
         if e.size == 0:
             e = np.empty((0, d), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != d:
@@ -94,7 +107,7 @@ class Hypergraph:
     @classmethod
     def from_edge_list(cls, n, d, edge_list):
         """Build a canonical hypergraph from an iterable of d-sets of node ids."""
-        return cls(n, d, [sorted(int(x) for x in edge) for edge in edge_list])
+        return cls(n, d, [sorted(edge) for edge in edge_list])
 
     @property
     def num_edges(self) -> int:
@@ -123,7 +136,7 @@ class Assignment:
         K = int(self.K)
         if K < 1:
             raise ValueError("cluster count must be positive")
-        lab = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        lab = as_int64(self.labels, "labels").reshape(-1)
         if lab.size == 0:
             raise ValueError("empty labeling")
         if lab.min() < 0 or lab.max() >= K:
@@ -158,7 +171,7 @@ class Assignment:
 
     def relabel(self, perm) -> "Assignment":
         """Rename clusters: node i gets label ``perm[labels[i]]``."""
-        perm = np.asarray(perm, dtype=np.int64)
+        perm = as_int64(perm, "perm")
         if perm.shape != (self.K,) or sorted(perm.tolist()) != list(range(self.K)):
             raise ValueError("perm must be a permutation of 0..K-1")
         return Assignment(perm[self.labels], self.K, balanced=self.balanced)

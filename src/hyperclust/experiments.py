@@ -32,7 +32,6 @@ __all__ = [
     "ResultRow",
     "mix_seed",
     "block_truth",
-    "shuffled_truth",
     "planted_instance",
     "make_initializer",
     "phase_transition",
@@ -63,18 +62,6 @@ def block_truth(n: int, K: int) -> Assignment:
     """Canonical planted partition: nodes 0..m-1 in cluster 0, and so on."""
     check_divides(n, K)
     return Assignment(np.repeat(np.arange(K), n // K), K, balanced=True)
-
-
-def shuffled_truth(n: int, K: int, seed: int) -> Assignment:
-    """Seed-derived balanced planted partition with randomized node order.
-
-    Experiment drivers plant this rather than the canonical blocks: on
-    degenerate instances (no or few edges) the projection's deterministic
-    tie-break emits the block labeling, which would spuriously count as a
-    recovery of a block-shaped truth.
-    """
-    labels = seeded_rng(seed).permutation(block_truth(n, K).labels)
-    return Assignment(labels, K, balanced=True)
 
 
 def make_initializer(strategy: str):
@@ -192,8 +179,10 @@ def write_records(path, columns, records):
 
 def planted_instance(params, seed: int) -> tuple[Hypergraph, Assignment]:
     """``(g, truth)`` of a phase trial, as ``hyperclust sample --seed`` draws it:
-    a shuffled balanced truth, then the hypergraph sampled on it."""
-    truth = shuffled_truth(params.n, params.K, mix_seed(seed, 2))
+    a random balanced truth, then the hypergraph sampled on it.  Drivers plant
+    no block truth: on instances with few or no edges the projection's
+    tie-break emits the blocks, a spurious recovery."""
+    truth = random_init(params.n, params.K, mix_seed(seed, 2))
     return sample(params, truth, seed), truth
 
 
@@ -280,11 +269,11 @@ def convergence_trace(
     """Distance-to-truth trajectories of random restarts on one instance.
 
     Samples a single hypergraph, then runs ``restarts`` solves from
-    projected-Gaussian starting points, recording the aligned distance and
-    objective at every iteration.  Returns a list of trace-record lists.
+    uniformly random balanced starting points, recording the aligned distance
+    and objective at every iteration.  Returns a list of trace-record lists.
     """
     params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
-    truth = shuffled_truth(n, K, mix_seed(base_seed, 2))
+    truth = random_init(n, K, mix_seed(base_seed, 2))
     g = sample(params, truth, mix_seed(base_seed, 0))
     traces = []
     for r in range(restarts):
@@ -308,7 +297,7 @@ def timing_benchmark(param_list, iters=10, base_seed=0, out=None):
     results = []
     for idx, (n, d, K, alpha, beta) in enumerate(param_list):
         params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
-        truth = shuffled_truth(n, K, mix_seed(base_seed, idx, 2))
+        truth = random_init(n, K, mix_seed(base_seed, idx, 2))
         g = sample(params, truth, mix_seed(base_seed, idx, 0))
         h0 = random_init(n, K, mix_seed(base_seed, idx, 1))
         t0 = time.perf_counter()

@@ -1,10 +1,10 @@
 """Starting assignments for the iterative solver.
 
-Three strategies: projecting a random Gaussian matrix onto the balanced set,
-pivoted-QR rounding of the top eigenvectors of the pairwise co-occurrence
-operator, and controlled corruption of a known ground truth (for experiments
-that need an initial point at a prescribed distance).  All of them emit
-balanced assignments and are deterministic per seed.
+Three strategies: a uniformly random balanced labeling, pivoted-QR rounding
+of the top eigenvectors of the pairwise co-occurrence operator, and
+controlled corruption of a known ground truth (for experiments that need an
+initial point at a prescribed distance).  All of them emit balanced
+assignments and are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -44,10 +44,13 @@ class EigensolverError(RuntimeError):
 
 
 def random_init(n: int, K: int, seed: int) -> Assignment:
-    """Balanced projection of an n x K matrix of independent standard normals."""
+    """A uniformly random balanced labeling: a seeded permutation of the
+    block labels.  This is the law of the balanced projection of an n x K
+    standard normal matrix, which is almost surely unique and commutes with
+    every relabeling of the nodes, drawn in O(n) with no transport solve."""
     check_divides(n, K)
-    rng = seeded_rng(seed)
-    return project_balanced(rng.standard_normal((n, K)))
+    labels = seeded_rng(seed).permutation(np.repeat(np.arange(K), n // K))
+    return Assignment(labels, K, balanced=True)
 
 
 def similarity_matrix(g: Hypergraph) -> np.ndarray:
@@ -165,7 +168,13 @@ class _EdgeOperator:
     member position into S = (B^T Q)^T (p x E), then scatters each row of S
     back with one ``bincount`` per member position.  The two p x E arrays
     are kept from one product to the next: allocated afresh, they cost a
-    page fault per 4 KB, about as much as the gathers themselves."""
+    page fault per 4 KB, about as much as the gathers themselves.
+
+    The (d, E) ``members`` is the operator's own writeable copy of the
+    edges, not a view of them: ``np.take`` copies a read-only index array
+    on every call (373 KB per take at 46.6k edges, against 232 B for a
+    writeable one, by tracemalloc), and a Hypergraph's edges are read-only.
+    Taking from such a read-only view made the spectral start slower."""
 
     def __init__(self, edges, diagonal):
         self.shape = (diagonal.size, diagonal.size)

@@ -47,6 +47,24 @@ def test_hypergraph_rejects_bad_edges():
         Hypergraph(4, 3, np.array([[0, 2, 1]]))  # not increasing
 
 
+@pytest.mark.parametrize("build", [Hypergraph, Hypergraph.from_edge_list], ids=["init", "from_edge_list"])
+def test_hypergraph_rejects_fractional_node_ids(build):
+    for edges in ([[0.5, 1.7]], [[0.0, np.nan]], [[1.0, np.inf]], [[0.0, 1e30]]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            build(5, 2, edges)
+    assert build(5, 2, [[0.0, 1.0]]).edges.tolist() == [[0, 1]]
+    assert build(5, 2, []).num_edges == 0
+
+
+def test_assignment_rejects_fractional_labels():
+    for labels in ([0.7, 1.2], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Assignment(labels, 2)
+    assert Assignment([1.0, 0.0], 2, balanced=True).labels.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="whole numbers"):
+        Assignment([0, 1], 2).relabel([0.5, 1.2])
+
+
 def test_assignment_validation():
     with pytest.raises(ValueError):
         Assignment(np.array([0, 1, 2]), 2)

@@ -390,7 +390,7 @@ def test_spectral_init_skips_the_int64_matrix(monkeypatch):
     assert spectral_init(g, 3, 5).labels.tolist() == expected.labels.tolist()
 
 
-def test_spectral_init_holds_one_dense_matrix():
+def test_spectral_init_peaks_below_one_and_a_half_dense_matrices():
     n = 600
     g = planted(n, 3, 3, 3000, 600, [91, 5])
     tracemalloc.start()

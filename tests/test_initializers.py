@@ -6,7 +6,7 @@ import pytest
 
 from hyperclust import initializers
 from hyperclust.core import Assignment, Hypergraph
-from hyperclust.experiments import block_truth, shuffled_truth
+from hyperclust.experiments import block_truth
 from hyperclust.initializers import (
     EigensolverError,
     _kmeans,
@@ -44,6 +44,27 @@ def test_random_init_label_symmetry():
     hits = sum(random_init(n, K, s).labels[0] == 0 for s in range(trials))
     sigma = math.sqrt(trials * 0.25)
     assert abs(hits - trials / 2) <= 4 * sigma
+
+
+@pytest.mark.parametrize("n, K", [(6, 2), (6, 3)])
+def test_random_init_is_uniform_over_balanced_labelings(n, K):
+    # chi-squared over every balanced labeling, 100 expected draws each; the
+    # bound is the 0.999 quantile by the Wilson-Hilferty approximation
+    cells = math.factorial(n) // math.factorial(n // K) ** K
+    draws = np.array([random_init(n, K, s).labels for s in range(100 * cells)])
+    _, counts = np.unique(draws, axis=0, return_counts=True)
+    chi2 = float((counts.astype(float) ** 2).sum()) / 100 - draws.shape[0]
+    df = cells - 1
+    bound = df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 < bound
+
+
+def test_random_init_solves_no_projection(monkeypatch):
+    def refuse(_):
+        raise AssertionError("project_balanced called by random_init")
+
+    monkeypatch.setattr(initializers, "project_balanced", refuse)
+    assert random_init(12, 3, 42).is_balanced
 
 
 # --- similarity matrix / spectral ---
@@ -241,9 +262,8 @@ def test_corrupt_rejects_swaps_with_one_cluster():
         lambda: random_init(6, 0, 1),
         lambda: spectral_init(Hypergraph.from_edge_list(6, 3, [(0, 1, 2)]), 0, 1),
         lambda: block_truth(6, 0),
-        lambda: shuffled_truth(6, 0, 1),
     ],
-    ids=["random_init", "spectral_init", "block_truth", "shuffled_truth"],
+    ids=["random_init", "spectral_init", "block_truth"],
 )
 def test_zero_clusters_rejected(call):
     with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ def test_phase_transition_csvs_are_pinned(tmp_path):
 def test_convergence_trace_csv_is_pinned(tmp_path):
     out = tmp_path / "conv.csv"
     convergence_trace(30, 3, 2, 40.0, 4.0, restarts=3, max_iters=6, base_seed=9, out=out)
-    assert csv_digest(out, drop=("wall_ms",)) == "6d2491a195ac7a62"
+    assert csv_digest(out, drop=("wall_ms",)) == "b63028e9d40029ea"
 
 
 SAMPLE_DIGESTS = {0: "6ada805499424df4", 1: "95ee45aed598066b", 2**64 + 5: "302999662cf4dc3c"}
