@@ -14,7 +14,6 @@ mapping appears.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ __all__ = [
     "Hypergraph",
     "Assignment",
     "multilinear_score",
-    "dense_multilinear_oracle",
     "objective",
     "read_hypergraph",
     "write_hypergraph",
@@ -37,7 +35,7 @@ _MASK64 = (1 << 64) - 1
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """The generator for a seed; seeds are taken modulo 2**64."""
-    return np.random.default_rng(int(seed) & _MASK64)
+    return np.random.default_rng(as_whole(seed, "seed") & _MASK64)
 
 
 def check_divides(n: int, K: int) -> None:
@@ -57,6 +55,16 @@ def as_int64(values, what: str) -> np.ndarray:
     if not np.array_equal(whole, a):
         raise ValueError(f"{what} must be whole numbers")
     return whole
+
+
+def as_whole(value, what: str) -> int:
+    """``value`` as an int; it must be a whole number: K=2.6 is an error, not 2."""
+    try:
+        if (whole := int(value)) == value:  # a scalar compare: no array round trip
+            return whole
+    except (OverflowError, ValueError):  # inf, NaN
+        pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 def check_covers(g: Hypergraph, h: Assignment) -> None:
@@ -81,7 +89,7 @@ class Hypergraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        n, d = int(self.n), int(self.d)
+        n, d = as_whole(self.n, "node count"), as_whole(self.d, "hyperedge order")
         if n < 1:
             raise ValueError("node count must be a positive integer")
         if d < 2:
@@ -113,10 +121,6 @@ class Hypergraph:
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def edge_set(self):
-        """Edges as a set of tuples (convenience for tests and set algebra)."""
-        return set(map(tuple, self.edges.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
@@ -133,12 +137,12 @@ class Assignment:
     balanced: bool = False
 
     def __post_init__(self):
-        K = int(self.K)
+        K = as_whole(self.K, "cluster count")
         if K < 1:
             raise ValueError("cluster count must be positive")
-        lab = as_int64(self.labels, "labels").reshape(-1)
-        if lab.size == 0:
-            raise ValueError("empty labeling")
+        lab = as_int64(self.labels, "labels")
+        if lab.ndim != 1 or lab.size == 0:
+            raise ValueError(f"labels must be a non-empty 1-d array, not of shape {lab.shape}")
         if lab.min() < 0 or lab.max() >= K:
             raise ValueError("label out of range")
         if self.balanced:
@@ -221,29 +225,6 @@ def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     return counts.reshape(g.n, K + 1)[:, :K] * math.factorial(d - 1)
 
 
-def dense_multilinear_oracle(g: Hypergraph, h: Assignment, max_n: int = 10) -> np.ndarray:
-    """Reference scorer that materializes the dense adjacency tensor.
-
-    Fills in all d! index permutations of every edge and contracts the
-    trailing modes with the one-hot label matrix by a literal integer
-    einsum.  Exponential in d by design; refuses n > ``max_n`` or d > 4.
-    Output contract is bit-identical to :func:`multilinear_score`.
-    """
-    if g.n > max_n:
-        raise ValueError(f"oracle refuses n={g.n} > {max_n} (dense tensor is n^d)")
-    if g.d > 4:
-        raise ValueError(f"oracle refuses d={g.d} > 4")
-    check_covers(g, h)
-    A = np.zeros((g.n,) * g.d, dtype=np.int64)
-    for edge in g.edges.tolist():
-        for perm in itertools.permutations(edge):
-            A[perm] = 1
-    H = h.one_hot()
-    letters = "abcdefgh"[: g.d]
-    subscripts = letters + "," + ",".join(c + "z" for c in letters[1:]) + "->" + letters[0] + "z"
-    return np.einsum(subscripts, A, *([H] * (g.d - 1)))
-
-
 def objective(g: Hypergraph, h: Assignment) -> int:
     """Inner product of the adjacency tensor with the assignment's outer power.
 
@@ -317,7 +298,7 @@ def read_assignment(path, K: int | None = None) -> Assignment:
     if not labels:
         raise ValueError(f"{path}: no labels found")
     arr = np.array(labels, dtype=np.int64)
-    k = int(arr.max()) + 1 if K is None else int(K)
+    k = int(arr.max()) + 1 if K is None else K
     a = Assignment(arr, k)
     if a.is_balanced:
         a = Assignment(arr, k, balanced=True)

@@ -34,13 +34,12 @@ ties.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .core import Assignment, check_divides
 
-__all__ = ["project_balanced", "brute_force_projection"]
+__all__ = ["project_balanced"]
 
 # Reduced-cost tie tolerance for float inputs, relative to the largest
 # magnitude entry.  Must sit well above accumulated roundoff (~1e-15) and
@@ -92,54 +91,6 @@ def project_balanced(scores) -> Assignment:
     cost = np.negative(C.T, order="C")
     assign, _, tight = _transport(cost, n // K, tol)
     return Assignment(_lex_min_over_ties(tight, assign), K, balanced=True)
-
-
-def brute_force_projection(scores, max_n: int = 12) -> Assignment:
-    """Exhaustive oracle for :func:`project_balanced`.
-
-    Enumerates every balanced assignment in lexicographic label order and
-    returns the first one achieving the maximum score sum, i.e. the same
-    tie-break as the fast path.  Refuses n > ``max_n`` since the count is
-    n! / (m!)^K.
-    """
-    C = np.asarray(scores)
-    if C.ndim != 2:
-        raise ValueError("score matrix must be 2-dimensional")
-    n, K = C.shape
-    check_divides(n, K)
-    if n > max_n:
-        raise ValueError(f"brute force refuses n={n} > {max_n}")
-    labelings = _balanced_labelings(n, K)
-    totals = C[np.arange(n)[None, :], labelings].sum(axis=1)
-    best = int(np.argmax(totals))  # first occurrence = lexicographically smallest
-    return Assignment(labelings[best], K, balanced=True)
-
-
-@lru_cache(maxsize=8)
-def _balanced_labelings(n: int, K: int) -> np.ndarray:
-    """All balanced label sequences for (n, K), lexicographically sorted."""
-    m = n // K
-    out = []
-    lab = [0] * n
-    caps = [m] * K
-
-    def rec(i):
-        if i == n:
-            out.append(lab.copy())
-            return
-        for k in range(K):
-            if caps[k]:
-                caps[k] -= 1
-                lab[i] = k
-                rec(i + 1)
-                caps[k] += 1
-
-    rec(0)
-    arr = np.array(out, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
-
-
 
 
 def _transport(cost, m, tol):

@@ -7,15 +7,17 @@ import pytest
 from hyperclust.core import (
     Assignment,
     Hypergraph,
-    dense_multilinear_oracle,
     multilinear_score,
     objective,
     read_assignment,
     read_hypergraph,
+    seeded_rng,
     write_assignment,
     write_hypergraph,
 )
-from hyperclust.projection import _balanced_labelings
+from hyperclust.initializers import random_init
+
+from oracles import _balanced_labelings, dense_multilinear_oracle, edge_set
 
 
 def random_instance(rng, n, d, K, edge_prob=0.3):
@@ -73,6 +75,36 @@ def test_assignment_validation():
     a = Assignment(np.array([0, 1, 1, 0]), 2, balanced=True)
     assert a.is_balanced and a.n == 4
     assert a.one_hot().tolist() == [[1, 0], [0, 1], [0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("bad", [5.7, np.float64(2.5), np.nan, np.inf, -np.inf])
+def test_sizes_and_seeds_must_be_whole_numbers(bad):
+    with pytest.raises(ValueError, match="node count must be a whole number"):
+        Hypergraph(bad, 2, [[0, 1]])
+    with pytest.raises(ValueError, match="hyperedge order must be a whole number"):
+        Hypergraph(6, bad, [[0, 1]])
+    with pytest.raises(ValueError, match="cluster count must be a whole number"):
+        Assignment([0, 1, 1, 0], bad)
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        seeded_rng(bad)
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        random_init(8, 2, bad)
+
+
+def test_whole_floats_and_numpy_integers_are_accepted():
+    g = Hypergraph(6.0, np.int32(2), [[0, 1]])
+    assert (g.n, g.d) == (6, 2) and type(g.n) is type(g.d) is int
+    assert Assignment([0, 1, 1, 0], np.int64(2)).K == Assignment([0, 1, 1, 0], 2.0).K == 2
+    labels = random_init(8, 2, 1).labels.tolist()
+    for seed in (1.0, np.uint64(1), 2**64 + 1):  # modulo 2**64
+        assert random_init(8, 2, seed).labels.tolist() == labels
+    assert seeded_rng(np.uint64(2**64 - 1)).integers(2**32) == seeded_rng(-1).integers(2**32)
+
+
+@pytest.mark.parametrize("labels", [np.eye(2, dtype=int), 1, [[0, 1, 1, 0]], np.zeros((2, 2, 1), int)])
+def test_assignment_rejects_labels_that_are_not_one_dimensional(labels):
+    with pytest.raises(ValueError, match="1-d"):
+        Assignment(labels, 2)
 
 
 def test_assignment_relabel():
@@ -358,7 +390,7 @@ def test_hypergraph_read_ignores_comments(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# comment\n4 2\n1 2\n# another\n3 4\n")
     g = read_hypergraph(path)
-    assert g.edge_set() == {(0, 1), (2, 3)}
+    assert edge_set(g) == {(0, 1), (2, 3)}
 
 
 def test_assignment_roundtrip(tmp_path):

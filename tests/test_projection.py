@@ -9,12 +9,12 @@ from hyperclust import projection
 from hyperclust.core import Assignment
 from hyperclust.projection import (
     _FLOAT_TIE_TOL,
-    _balanced_labelings,
     _lex_min_over_ties,
     _transport,
-    brute_force_projection,
     project_balanced,
 )
+
+from oracles import _balanced_labelings, brute_force_projection
 
 
 def selected_sum(C, labels):

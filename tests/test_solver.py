@@ -11,9 +11,10 @@ from hyperclust.core import Assignment, Hypergraph, objective
 from hyperclust.experiments import block_truth
 from hyperclust.initializers import corrupt, random_init, spectral_init
 from hyperclust.metrics import exact_recovery
-from hyperclust.projection import _balanced_labelings
 from hyperclust.sampler import LogRegimeParams, sample, to_probabilities, uniformize
 from hyperclust.solver import ptpm, theoretical_iteration_budget
+
+from oracles import _balanced_labelings
 
 
 def planted_instance(n, d, K, alpha, beta, seed):
