@@ -1,11 +1,11 @@
 """Sparse symmetric uniform hypergraphs, cluster assignments, and scoring.
 
 A d-uniform hypergraph is stored as its canonical hyperedge list, never as a
-dense order-d tensor: each hyperedge is a strictly increasing d-tuple of node
-ids, and the row array is unique and lexicographically sorted.  This is the
-single source of truth for the implicit symmetric 0/1 adjacency tensor with
-zero diagonal (an entry is 1 exactly when its d distinct indices form an
-edge).
+dense order-d tensor: strictly increasing d-tuples of node ids, unique,
+lexicographically sorted, and held member position by member position, so
+that every pass over the edges reads contiguous memory.  This is the single
+source of truth for the implicit symmetric 0/1 adjacency tensor with zero
+diagonal (an entry is 1 exactly when its d distinct indices form an edge).
 
 Node ids and cluster labels are 0-based everywhere in memory; the text file
 formats are 1-based, and the readers/writers below are the only place that
@@ -15,7 +15,7 @@ mapping appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,16 +77,18 @@ def check_covers(g: Hypergraph, h: Assignment) -> None:
 class Hypergraph:
     """Symmetric d-uniform hypergraph on ``n`` nodes.
 
-    ``edges`` has shape (E, d); rows are strictly increasing 0-based node
-    ids, unique, and lexicographically sorted (canonical form).  Any (E, d)
-    array of increasing rows is accepted and put in row order here, the
-    one place where rows are validated and sorted.  Instances are
-    immutable; all operations on them are pure functions.
+    ``members`` is the C-contiguous (d, E) array of the edges: column e holds
+    edge e's strictly increasing 0-based node ids, and the edges are unique
+    and lexicographically sorted (canonical form).  ``edges`` is its (E, d)
+    view ``members.T``.  Any (E, d) array of increasing rows is accepted and
+    put in order here, the one place where edges are validated and sorted.
+    Both arrays are read-only; instances are immutable.
     """
 
     n: int
     d: int
     edges: np.ndarray
+    members: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, d = as_whole(self.n, "node count"), as_whole(self.d, "hyperedge order")
@@ -104,13 +106,17 @@ class Hypergraph:
                 raise ValueError("node id out of range")
             if not np.all(np.diff(e, axis=1) > 0):
                 raise ValueError("hyperedge members must be distinct and increasing")
-            e = e[np.lexsort(e.T[::-1])]
-            if np.any(np.all(e[1:] == e[:-1], axis=1)):
-                raise ValueError("duplicate hyperedges")
-        e.flags.writeable = False
+        order = np.lexsort(e.T[::-1])
+        members = np.empty((d, e.shape[0]), dtype=np.int64)
+        for j in range(d):  # sorted straight into place: no (E, d) sorted copy
+            np.take(e[:, j], order, out=members[j], mode="clip")
+        if np.any(np.all(members[:, 1:] == members[:, :-1], axis=0)):
+            raise ValueError("duplicate hyperedges")
+        members.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "edges", members.T)
 
     @classmethod
     def from_edge_list(cls, n, d, edge_list):
@@ -119,7 +125,7 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self.members.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +188,10 @@ class Assignment:
 
 
 def _edge_labels(g: Hypergraph, h: Assignment) -> np.ndarray:
-    """The (E, d) labels of every edge's members, in the smallest unsigned
+    """The (d, E) labels of every edge's members, in the smallest unsigned
     dtype that holds K itself (one byte per entry for K <= 255)."""
     check_covers(g, h)
-    return h.labels.astype(np.min_scalar_type(h.K))[g.edges]
+    return h.labels.astype(np.min_scalar_type(h.K))[g.members]
 
 
 def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
@@ -200,8 +206,8 @@ def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     ``node * (K+1) + label`` of its j-th member, where ``label`` is the one
     its other d-1 members share, or the spare column K when they disagree.
     One ``np.bincount`` per position adds into an n x (K+1) count, and the
-    spare column is dropped.  Nothing is compacted, and the temporaries
-    take about 20 bytes per edge.
+    spare column is dropped.  Each pass reads contiguous (d, E) rows, nothing
+    is compacted, and the temporaries take about 20 bytes per edge.
     """
     K, d = h.K, g.d
     edge_labels = _edge_labels(g, h)
@@ -210,16 +216,16 @@ def multilinear_score(g: Hypergraph, h: Assignment) -> np.ndarray:
     counts = np.zeros(g.n * (K + 1), dtype=np.int64)
     for j in range(d):
         others = [i for i in range(d) if i != j]
-        label = edge_labels[:, others[0]]
+        label = edge_labels[others[0]]
         if d > 2:
-            disagree = edge_labels[:, others[1]] != label
+            disagree = edge_labels[others[1]] != label
             for i in others[2:]:
-                disagree |= edge_labels[:, i] != label
+                disagree |= edge_labels[i] != label
             # every label is below K, so the larger of label and K * disagree
             # is the shared label where the others agree, else the spare K
             spread = disagree.view(np.uint8) * spare
             label = np.maximum(spread, label, out=spread)
-        np.multiply(g.edges[:, j], K + 1, out=keys)
+        np.multiply(g.members[j], K + 1, out=keys)
         keys += label
         counts += np.bincount(keys, minlength=counts.size)
     return counts.reshape(g.n, K + 1)[:, :K] * math.factorial(d - 1)
@@ -235,7 +241,7 @@ def objective(g: Hypergraph, h: Assignment) -> int:
     edge_labels = _edge_labels(g, h)
     mono = np.ones(g.num_edges, dtype=bool)
     for j in range(1, g.d):
-        mono &= edge_labels[:, j] == edge_labels[:, 0]
+        mono &= edge_labels[j] == edge_labels[0]
     return math.factorial(g.d) * int(np.count_nonzero(mono))
 
 

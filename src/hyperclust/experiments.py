@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _MASK64, Assignment, Hypergraph, check_divides, objective, seeded_rng
+from .core import _MASK64, Assignment, Hypergraph, as_whole, check_divides, objective, seeded_rng
 from .initializers import corrupt, random_init, spectral_init
 from .metrics import exact_recovery, misclassification_rate
 from .sampler import LogRegimeParams, sample, to_probabilities
@@ -51,11 +51,12 @@ def _splitmix64(z: int) -> int:
 
 
 def mix_seed(base_seed: int, *parts: int) -> int:
-    """Stable 64-bit task seed: base XOR a mixed hash of the index parts."""
+    """Stable 64-bit task seed: base XOR a mixed hash of the index parts,
+    all of which must be whole numbers (a seed of 1.5 is an error, not 1)."""
     acc = 0
     for p in parts:
-        acc = _splitmix64(acc ^ _splitmix64(int(p) & _MASK64))
-    return (int(base_seed) ^ acc) & _MASK64
+        acc = _splitmix64(acc ^ _splitmix64(as_whole(p, "seed part") & _MASK64))
+    return (as_whole(base_seed, "seed") ^ acc) & _MASK64
 
 
 def block_truth(n: int, K: int) -> Assignment:

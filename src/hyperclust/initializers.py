@@ -63,8 +63,8 @@ def similarity_matrix(g: Hypergraph) -> np.ndarray:
     W = np.zeros((g.n, g.n), dtype=np.int64)
     for a in range(g.d):
         for b in range(a + 1, g.d):
-            np.add.at(W, (g.edges[:, a], g.edges[:, b]), 1)
-            np.add.at(W, (g.edges[:, b], g.edges[:, a]), 1)
+            np.add.at(W, (g.members[a], g.members[b]), 1)
+            np.add.at(W, (g.members[b], g.members[a]), 1)
     return W
 
 
@@ -149,13 +149,13 @@ def _spectral_operator(g, K):
     i*n + j of every ordered member pair, equal to ``similarity_matrix(g) +
     shift*I``.  Above that it is an ``_EdgeOperator``: O(E + nK) memory.
     """
-    n, edges = g.n, g.edges
-    degree = np.bincount(edges.ravel(), minlength=n)
+    n, members = g.n, g.members
+    degree = np.bincount(members.ravel(), minlength=n)
     shift = max(float(degree.max(initial=0)), 1.0)
-    if n * n > _DENSE_RATIO * (len(edges) + n * K):
-        return _EdgeOperator(edges, shift - degree), shift
+    if n * n > _DENSE_RATIO * (g.num_edges + n * K):
+        return _EdgeOperator(members, shift - degree), shift
     a, b = np.nonzero(~np.eye(g.d, dtype=bool))  # every ordered member pair
-    keys = (edges[:, a] * n + edges[:, b]).ravel()
+    keys = (members[a] * n + members[b]).ravel()
     M = np.bincount(keys, weights=np.ones(keys.size), minlength=n * n)
     M = M.astype(np.float64, copy=False).reshape(n, n)  # int64 when there are no edges
     M[np.diag_indices(n)] = shift
@@ -170,16 +170,15 @@ class _EdgeOperator:
     are kept from one product to the next: allocated afresh, they cost a
     page fault per 4 KB, about as much as the gathers themselves.
 
-    The (d, E) ``members`` is the operator's own writeable copy of the
-    edges, not a view of them: ``np.take`` copies a read-only index array
-    on every call (373 KB per take at 46.6k edges, against 232 B for a
-    writeable one, by tracemalloc), and a Hypergraph's edges are read-only.
-    Taking from such a read-only view made the spectral start slower."""
+    ``members`` is a writeable copy of the Hypergraph's read-only (d, E)
+    ``members``: ``np.take`` copies a read-only index array on every call
+    (373 KB per take at 46.6k edges, against 232 B for a writeable one, by
+    tracemalloc), which made the spectral start slower."""
 
-    def __init__(self, edges, diagonal):
+    def __init__(self, members, diagonal):
         self.shape = (diagonal.size, diagonal.size)
-        self.members, self.diagonal = np.ascontiguousarray(edges.T), diagonal
-        self._work = np.empty((2, 0, edges.shape[0]))
+        self.members, self.diagonal = members.copy(), diagonal
+        self._work = np.empty((2, 0, members.shape[1]))
 
     def __matmul__(self, Q):
         QT = np.ascontiguousarray(Q.T)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Hypergraph, check_divides, seeded_rng
+from .core import Assignment, Hypergraph, as_int64, check_divides, seeded_rng
 
 __all__ = [
     "ModelParams",
@@ -214,7 +214,7 @@ def uniformize(subsets, d0: int, n: int) -> tuple[Hypergraph, tuple[int, ...]]:
     rows = set()
     padded = False
     for subset in subsets:
-        t = tuple(sorted(int(x) for x in subset))
+        t = tuple(sorted(as_int64(list(subset), "node ids").tolist()))
         if not (2 <= len(t) <= d0):
             raise ValueError(f"subset size {len(t)} outside [2, {d0}]")
         if t[-1] >= n:

@@ -15,7 +15,7 @@ from hyperclust.core import (
     write_assignment,
     write_hypergraph,
 )
-from hyperclust.initializers import random_init
+from hyperclust.initializers import _EdgeOperator, _spectral_operator, random_init
 
 from oracles import _balanced_labelings, dense_multilinear_oracle, edge_set
 
@@ -56,6 +56,29 @@ def test_hypergraph_rejects_fractional_node_ids(build):
             build(5, 2, edges)
     assert build(5, 2, [[0.0, 1.0]]).edges.tolist() == [[0, 1]]
     assert build(5, 2, []).num_edges == 0
+
+
+ROWS = [[1, 2, 3], [0, 2, 4], [0, 1, 4], [0, 1, 3]]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [ROWS, np.array(ROWS, dtype=np.float64), np.array(ROWS, dtype=np.int32)],
+    ids=["unsorted", "whole-floats", "int32"],
+)
+def test_hypergraph_stores_edges_member_position_major(edges):
+    n, d, K = 200, 3, 2
+    g = Hypergraph(n, d, edges)
+    assert g.members.shape == (d, 4) and g.members.dtype == np.int64
+    assert g.members.flags.c_contiguous and not g.members.flags.writeable
+    assert g.edges.shape == (4, d) and not g.edges.flags.writeable
+    assert np.shares_memory(g.edges, g.members)
+    assert g.edges.tolist() == sorted(ROWS)
+    # n^2 > 64 (E + nK): the spectral start takes products from the edge list,
+    # which needs its own writeable index array
+    M, _ = _spectral_operator(g, K)
+    assert isinstance(M, _EdgeOperator) and np.array_equal(M.members, g.members)
+    assert M.members.flags.writeable and not np.shares_memory(M.members, g.members)
 
 
 def test_assignment_rejects_fractional_labels():

@@ -36,6 +36,16 @@ def test_mix_seed_stable_and_sensitive():
     assert 0 <= mix_seed(2**63, 5, 5) < 2**64
 
 
+@pytest.mark.parametrize("args", [(1.5, 2), (1, 2.7), (math.nan, 2), (1, math.inf)])
+def test_mix_seed_rejects_fractional_seeds_and_parts(args):
+    with pytest.raises(ValueError, match="whole number"):
+        mix_seed(*args)
+
+
+def test_mix_seed_accepts_whole_floats_and_numpy_integers():
+    assert mix_seed(1.0, 2.0) == mix_seed(np.int64(1), np.uint8(2)) == mix_seed(1, 2)
+
+
 # --- grid config ---
 
 

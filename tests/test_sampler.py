@@ -172,6 +172,14 @@ def test_uniformize_two_slot_padding():
     assert edge_set(g) == {(0, 1, 5, 6), (2, 3, 4, 6), (0, 2, 3, 4)}
 
 
+def test_uniformize_rejects_fractional_node_ids():
+    with pytest.raises(ValueError, match="whole numbers"):
+        uniformize([(0.5, 1.7)], 3, 4)
+    g, dummies = uniformize([(1.0, 0.0), np.array([3, 1, 2], dtype=np.int32)], 3, 4)
+    assert dummies == (4,)
+    assert edge_set(g) == {(0, 1, 4), (1, 2, 3)}
+
+
 def test_uniformize_validation():
     with pytest.raises(ValueError):
         uniformize([(0,)], 3, 5)
