@@ -118,6 +118,11 @@ class Hypergraph:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "edges", members.T)
 
+    def __reduce__(self):
+        # rebuilt by the constructor, so that a copy keeps one read-only
+        # edge array and its view rather than two independent ones
+        return Hypergraph, (self.n, self.d, self.edges)
+
     @classmethod
     def from_edge_list(cls, n, d, edge_list):
         """Build a canonical hypergraph from an iterable of d-sets of node ids."""

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import Assignment, Hypergraph, check_divides, seeded_rng
+from .core import Assignment, Hypergraph, as_whole, check_divides, seeded_rng
 from .projection import project_balanced
 
 __all__ = [
@@ -110,6 +110,7 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     if not ground_truth.is_balanced:
         raise ValueError("ground truth must be balanced")
     n, K = ground_truth.n, ground_truth.K
+    swaps = as_whole(swaps, "swaps")
     if swaps < 0 or 2 * swaps > n:
         raise ValueError(f"swaps={swaps} needs 2*swaps <= n={n}")
     if swaps and K == 1:

@@ -22,9 +22,12 @@ for every input:
    start is returned as it is.
 3. :func:`_lex_min_over_ties` reads the lexicographically smallest optimum
    off the final tight-arc mask: an assignment is optimal iff it is
-   feasible and supported on arcs with zero reduced cost, so a greedy pass
-   over the nodes with two or more such arcs, with a reroute check over
-   the K x K graph of those arcs, finalizes the canonical optimum.
+   feasible and supported on arcs with zero reduced cost.  Nodes with the
+   same two or more such arcs, the same option type, are interchangeable,
+   so the state is a count per option type and cluster.  A greedy pass in
+   node order gives each node the lowest of its clusters from which a path
+   in the K x K graph of those arcs, searched as in step 2, leads to a
+   cluster that holds a node of its type.
 
 Integer score matrices are handled in exact integer arithmetic; float ones
 treat reduced costs within a tolerance relative to the matrix scale as
@@ -219,44 +222,18 @@ def _route(assign, excess, tight, multi):
     overfull one, none of which is underfull.  Only the ``multi`` nodes,
     those with two or more tight arcs, can move.
     """
-    K = excess.size
     arcs = tight[:, multi]
     home = assign[multi]
-    count = np.bincount((home * K + np.arange(K)[:, None])[arcs], minlength=K * K)
-    count = count.reshape(K, K).tolist()  # count[a][b]: movers from a to b
+    count = _arc_counts(arcs, home)  # count[a][b]: movers from a to b
     ex = excess.tolist()
     while True:
-        sources = [k for k in range(K) if ex[k] > 0]
-        if not sources:
+        sources = [k for k, x in enumerate(ex) if x > 0]
+        path, reached = _search(count, sources, [x < 0 for x in ex])
+        if path is None:
             assign[multi] = home
             excess[:] = ex
-            return None
-        parent = [-2] * K  # -2 unreached, -1 source
-        for k in sources:
-            parent[k] = -1
-        frontier, target = sources, -1
-        while frontier and target < 0:
-            nxt = []
-            for a in frontier:
-                for b in range(K):
-                    if parent[b] == -2 and count[a][b]:
-                        parent[b] = a
-                        nxt.append(b)
-                        if ex[b] < 0:
-                            target = b
-                            break
-                if target >= 0:
-                    break
-            frontier = nxt
-        if target < 0:
-            assign[multi] = home
-            excess[:] = ex
-            return np.array([p != -2 for p in parent])
-        path = []  # arcs from the target back to the source
-        b = target
-        while parent[b] >= 0:
-            path.append((parent[b], b))
-            b = parent[b]
+            return np.array(reached) if sources else None
+        b, target = path[-1][0], path[0][1]
         batch = min(ex[b], -ex[target], *(count[a][c] for a, c in path))
         # the target end first, so no node entering a cluster moves on
         for a, c in path:
@@ -269,66 +246,109 @@ def _route(assign, excess, tight, multi):
         ex[target] += batch
 
 
+def _arc_counts(arcs, home):
+    """Arc counts of the cluster graph, as K lists of K ints: ``count[a][b]``
+    is how many nodes sit in cluster a with a tight arc to b, given the
+    (K, m) tight mask ``arcs`` of m nodes and their clusters ``home``."""
+    K = arcs.shape[0]
+    count = np.bincount((home * K + np.arange(K)[:, None])[arcs], minlength=K * K)
+    return count.reshape(K, K).tolist()
+
+
+def _search(count, sources, target):
+    """Breadth-first search of the cluster graph, whose arc a -> b exists
+    while ``count[a][b]`` is nonzero, from the clusters ``sources`` to the
+    first cluster b it reaches with ``target[b]`` nonzero; the sources
+    themselves are not tested.
+
+    Returns ``(path, None)``, with the arcs (a, b) of a shortest such path,
+    target end first, or ``(None, reached)``, with the flags of the
+    clusters reached, when no target is reachable.
+    """
+    K = len(count)
+    parent = [-2] * K  # -2 unreached, -1 source
+    for k in sources:
+        parent[k] = -1
+    frontier = sources
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row = count[a]
+            for b in range(K):
+                if parent[b] == -2 and row[b]:
+                    parent[b] = a
+                    if target[b]:
+                        path = []
+                        while parent[b] >= 0:
+                            path.append((parent[b], b))
+                            b = parent[b]
+                        return path, None
+                    nxt.append(b)
+        frontier = nxt
+    return None, [p != -2 for p in parent]
+
+
 def _lex_min_over_ties(tight, assign):
     """Lexicographically smallest optimum over the tight-arc support.
 
     ``tight`` is the final (K, n) tight mask of :func:`_transport` and
     ``assign`` its optimal assignment.  Every optimal assignment is
     feasible and supported on tight arcs, and conversely.  A node with a
-    single tight arc keeps its cluster in every optimum, so only nodes with
-    two or more take part; without any, ``assign`` is the (int64) result.
-    A greedy pass finalizes them in node order, trying clusters ascending;
-    a candidate is accepted iff a slot can be freed by rerouting
-    unfinalized nodes along tight arcs, a search over the K x K graph whose
-    arc a->b exists while some such node sits in a with a tight arc to b.
-    The optimum is unique, so the witness nodes picked along a reroute do
-    not change the result.
+    single tight arc keeps its cluster in every optimum, so only the tied
+    nodes, with two or more, take part; without any, ``assign`` is the
+    (int64) result.
+
+    Tied nodes with the same tight clusters, the same type, are
+    interchangeable, so the state is counts: ``held[t][c]`` is the number
+    of unfinalized nodes of type t in cluster c in some completion of the
+    choices made so far, and ``count`` holds their arc counts as in
+    :func:`_route`.  A greedy pass finalizes the tied nodes in node order.
+    A node of type t takes the lowest of its clusters k from which a path
+    of nonzero arcs leads to a cluster holding type t, an empty path if k
+    holds it: one count of some type moves along each arc and one of type
+    t leaves the path's end, which frees a slot in k.  Without such a path
+    no completion puts the node in k.  The optimum is unique, so the types
+    moved do not change the result.
     """
     K = tight.shape[0]
     n_opts = tight.sum(axis=0, dtype=np.int32)
     tied = np.flatnonzero(n_opts > 1)
     if not tied.size:
         return np.asarray(assign, dtype=np.int64)  # unique support: nothing to break
-    cur = assign.tolist()
-    ks = np.nonzero(tight[:, tied].T)[1].tolist()
-    ends = np.cumsum(n_opts[tied]).tolist()
-    opts = {}  # tied node -> its tight clusters, ascending; in node order
-    for i, lo, hi in zip(tied.tolist(), [0] + ends, ends):
-        opts[i] = ks[lo:hi]
-    # movers[a][b]: unfinalized tied nodes in cluster a with a tight arc to b
-    movers = [[set() for _ in range(K)] for _ in range(K)]
-    for i, opt in opts.items():
-        for b in opt:
-            movers[cur[i]][b].add(i)
-    for i, opt in opts.items():
-        goal = cur[i]
-        for b in opt:
-            movers[goal][b].discard(i)
+    arcs = tight[:, tied]
+    home = assign[tied]
+    count = _arc_counts(arcs, home)
+    types = {}  # a node's column of tight arcs -> its type
+    options, held, of_node = [], [], []
+    for c, col in zip(home.tolist(), arcs.T.tolist()):
+        t = types.setdefault(tuple(col), len(options))
+        if t == len(options):
+            options.append([k for k, arc in enumerate(col) if arc])
+            held.append([0] * K)
+        held[t][c] += 1
+        of_node.append(t)
+    taken = []
+    for t in of_node:
+        opt, h = options[t], held[t]
         for k in opt:
-            if k == goal:
+            if h[k]:
+                path = []
                 break
-            # can node i take k? only if a slot can be freed by moving
-            # unfinalized nodes along tight arcs from k back to goal
-            parent = {k: None}
-            frontier = [k]
-            while frontier and goal not in parent:
-                nxt = []
-                for a in frontier:
-                    for b in range(K):
-                        if b not in parent and movers[a][b]:
-                            parent[b] = a
-                            nxt.append(b)
-                frontier = nxt
-            if goal in parent:
-                b = goal
-                while parent[b] is not None:
-                    a = parent[b]
-                    j = next(iter(movers[a][b]))
-                    for c in opts[j]:
-                        movers[a][c].discard(j)
-                        movers[b][c].add(j)
-                    cur[j] = b
-                    b = a
-                cur[i] = k
+            path, _ = _search(count, [k], h)
+            if path is not None:
                 break
-    return np.array(cur, dtype=np.int64)
+        for a, b in path:
+            s = next(s for s, o in enumerate(options) if held[s][a] and b in o)
+            held[s][a] -= 1
+            held[s][b] += 1
+            for c in options[s]:
+                count[a][c] -= 1
+                count[b][c] += 1
+        end = path[0][1] if path else k
+        h[end] -= 1
+        for c in opt:
+            count[end][c] -= 1
+        taken.append(k)
+    labels = np.array(assign, dtype=np.int64)
+    labels[tied] = taken
+    return labels

@@ -24,6 +24,8 @@ import numpy as np
 from .core import (
     Assignment,
     Hypergraph,
+    as_int64,
+    as_whole,
     check_covers,
     check_divides,
     multilinear_score,
@@ -100,7 +102,7 @@ def ptpm(
     """
     check_covers(g, h0)
     K = h0.K
-    dummy = np.array(sorted(set(int(x) for x in dummy_ids)), dtype=np.int64)
+    dummy = np.unique(as_int64(list(dummy_ids), "dummy ids"))
     if dummy.size and (dummy.min() < 0 or dummy.max() >= g.n):
         raise ValueError("dummy id out of range")
     real = np.setdiff1d(np.arange(g.n), dummy)
@@ -108,6 +110,7 @@ def ptpm(
     check_divides(n_real, K)
     if max_iters is None:
         max_iters = theoretical_iteration_budget(n_real)
+    max_iters = as_whole(max_iters, "max_iters")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     if truth is not None and truth.n not in (g.n, n_real):

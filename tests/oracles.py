@@ -5,7 +5,9 @@ is the reference for :func:`hyperclust.core.multilinear_score`;
 :func:`brute_force_projection` enumerates every balanced assignment and is
 the reference for :func:`hyperclust.projection.project_balanced`, tie-break
 included.  Both refuse inputs past a small size, since their cost grows as
-n^d and n! / (m!)^K.
+n^d and n! / (m!)^K.  :func:`greedy_lex_min_over_ties`, the tie-break that
+tracks every tied node, is the reference for
+:func:`hyperclust.projection._lex_min_over_ties` at any size.
 """
 
 from __future__ import annotations
@@ -94,3 +96,60 @@ def _balanced_labelings(n: int, K: int) -> np.ndarray:
     arr = np.array(out, dtype=np.int64)
     arr.flags.writeable = False
     return arr
+
+
+def greedy_lex_min_over_ties(tight, assign) -> np.ndarray:
+    """Node-by-node reference for ``projection._lex_min_over_ties``.
+
+    ``tight`` is a (K, n) tight-arc mask and ``assign`` a balanced
+    assignment on its arcs.  The nodes with two or more tight arcs are
+    finalized in node order, each at the lowest tight cluster k for which
+    the unfinalized nodes can be rerouted along tight arcs to free a slot
+    in k: a breadth-first search over the K x K graph whose arc a -> b
+    holds the set of unfinalized nodes in a with a tight arc to b, moving
+    one witness node along each arc of the path found.
+    """
+    K = tight.shape[0]
+    n_opts = tight.sum(axis=0, dtype=np.int32)
+    tied = np.flatnonzero(n_opts > 1)
+    cur = np.asarray(assign).tolist()
+    opts = {}  # tied node -> its tight clusters, ascending; in node order
+    for i in tied.tolist():
+        opts[i] = np.flatnonzero(tight[:, i]).tolist()
+    # movers[a][b]: unfinalized tied nodes in cluster a with a tight arc to b
+    movers = [[set() for _ in range(K)] for _ in range(K)]
+    for i, opt in opts.items():
+        for b in opt:
+            movers[cur[i]][b].add(i)
+    for i, opt in opts.items():
+        goal = cur[i]
+        for b in opt:
+            movers[goal][b].discard(i)
+        for k in opt:
+            if k == goal:
+                break
+            # can node i take k? only if a slot can be freed by moving
+            # unfinalized nodes along tight arcs from k back to goal
+            parent = {k: None}
+            frontier = [k]
+            while frontier and goal not in parent:
+                nxt = []
+                for a in frontier:
+                    for b in range(K):
+                        if b not in parent and movers[a][b]:
+                            parent[b] = a
+                            nxt.append(b)
+                frontier = nxt
+            if goal in parent:
+                b = goal
+                while parent[b] is not None:
+                    a = parent[b]
+                    j = next(iter(movers[a][b]))
+                    for c in opts[j]:
+                        movers[a][c].discard(j)
+                        movers[b][c].add(j)
+                    cur[j] = b
+                    b = a
+                cur[i] = k
+                break
+    return np.array(cur, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,14 @@ def test_hypergraph_stores_edges_member_position_major(edges):
     M, _ = _spectral_operator(g, K)
     assert isinstance(M, _EdgeOperator) and np.array_equal(M.members, g.members)
     assert M.members.flags.writeable and not np.shares_memory(M.members, g.members)
+
+
+def test_pickle_round_trip_keeps_one_read_only_edge_array():
+    g = Hypergraph(6, 3, [[3, 4, 5], [0, 1, 2], [0, 2, 4]])
+    h = pickle.loads(pickle.dumps(g))
+    assert (h.n, h.d) == (g.n, g.d) and np.array_equal(h.members, g.members)
+    assert h.members.flags.c_contiguous and np.shares_memory(h.edges, h.members)
+    assert not h.members.flags.writeable and not h.edges.flags.writeable
 
 
 def test_assignment_rejects_fractional_labels():

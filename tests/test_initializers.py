@@ -241,6 +241,13 @@ def test_corrupt_validation():
         corrupt(Assignment(np.array([0, 0, 0, 1]), 2), 1, 0)  # unbalanced
 
 
+def test_corrupt_rejects_fractional_swaps():
+    truth = block_truth(6, 2)
+    with pytest.raises(ValueError, match="swaps must be a whole number"):
+        corrupt(truth, 2.5, 0)
+    assert corrupt(truth, 2.0, 0).labels.tolist() == corrupt(truth, 2, 0).labels.tolist()
+
+
 def test_corrupt_max_swaps_k2():
     truth = block_truth(8, 2)
     h = corrupt(truth, 4, 11)

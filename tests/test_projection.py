@@ -14,7 +14,7 @@ from hyperclust.projection import (
     project_balanced,
 )
 
-from oracles import _balanced_labelings, brute_force_projection
+from oracles import _balanced_labelings, brute_force_projection, greedy_lex_min_over_ties
 
 
 def selected_sum(C, labels):
@@ -474,6 +474,52 @@ def test_transport_matches_successive_shortest_paths():
         overflowing += int(np.bincount(np.argmax(C, axis=1), minlength=K).max() > n // K)
         check_against_oracle(C)
     assert overflowing > 150
+
+
+# --- the tie-break over option types against the node-by-node greedy ---
+
+
+def _tie_heavy_matrices(rng, n, K):
+    """An integer matrix with many tied maxima, and a float copy perturbed
+    far inside the tie tolerance, which has the same lex-min optimum."""
+    if rng.random() < 0.5:  # a balanced one-hot over integer noise, as in ptpm
+        lab = rng.permutation(np.repeat(np.arange(K), n // K))
+        C = 2 * np.eye(K, dtype=np.int64)[lab] + rng.integers(0, 3, size=(n, K))
+    else:
+        C = rng.integers(0, int(rng.integers(2, 4)), size=(n, K))
+    return C, C + rng.uniform(-1e-15, 1e-15, size=(n, K))
+
+
+def test_lex_min_over_ties_matches_the_greedy_oracle():
+    rng = np.random.default_rng(2500)
+    tied = 0
+    for _ in range(100):
+        K = int(rng.integers(2, 9))
+        n = K * int(rng.integers(1, 500 // K + 1))
+        cases = []
+        for C in _tie_heavy_matrices(rng, n, K):
+            cost, tol = _solver_inputs(C)
+            assign, _, tight = _transport(np.ascontiguousarray(cost.T), n // K, tol)
+            cases.append((tight, assign))
+        # and an arbitrary mask around a balanced assignment: any mix of types
+        lab = rng.permutation(np.repeat(np.arange(K), n // K))
+        mask = rng.random((K, n)) < rng.uniform(0.1, 0.9)
+        mask[lab, np.arange(n)] = True
+        cases.append((mask, lab))
+        for tight, assign in cases:
+            tied += int((tight.sum(axis=0) > 1).sum())
+            want = greedy_lex_min_over_ties(tight, assign).tolist()
+            assert _lex_min_over_ties(tight, assign).tolist() == want
+    assert tied > 20000
+
+
+def test_five_clusters_match_brute_force():
+    rng = np.random.default_rng(2600)
+    for _ in range(40):
+        base, C = _tie_heavy_matrices(rng, 10, 5)
+        want = brute_force_projection(base).labels.tolist()
+        assert project_balanced(base).labels.tolist() == want
+        assert project_balanced(C).labels.tolist() == want
 
 
 # --- degenerate inputs ---

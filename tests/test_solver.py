@@ -143,6 +143,22 @@ def test_validation_errors():
         ptpm(g, block_truth(6, 2), -1)
 
 
+def test_fractional_dummy_ids_are_an_error():
+    g = Hypergraph.from_edge_list(7, 3, [(0, 1, 2), (3, 4, 5)])
+    h0 = Assignment(np.array([0, 0, 0, 1, 1, 1, 0]), 2)
+    with pytest.raises(ValueError, match="dummy ids must be whole numbers"):
+        ptpm(g, h0, dummy_ids=(6.9,))
+    whole = ptpm(g, h0, dummy_ids=(6.0,)).final.labels.tolist()
+    assert whole == ptpm(g, h0, dummy_ids=(6,)).final.labels.tolist()
+
+
+def test_fractional_iteration_budget_is_an_error():
+    g = Hypergraph.from_edge_list(6, 3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="max_iters must be a whole number"):
+        ptpm(g, block_truth(6, 2), 2.5)
+    assert ptpm(g, block_truth(6, 2), 2.0, early_stop=False).iterations_run == 2
+
+
 # --- non-uniform inputs via dummy nodes ---
 
 
