@@ -105,10 +105,14 @@ class GridConfig:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise ValueError("alpha/beta grids must be nonempty")
+        # the model's own checks, so that a cell is skipped only for its probabilities
+        lp = LogRegimeParams(self.n, self.d, self.K, min(self.alphas), min(self.betas))
+        counts = {"n": lp.n, "d": lp.d, "K": lp.K, "trials": as_whole(self.trials, "trials"),
+                  "threads": as_whole(self.threads, "threads")}
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
-        # the model's own checks, so that a cell is skipped only for its probabilities
-        LogRegimeParams(self.n, self.d, self.K, min(self.alphas), min(self.betas))
         make_initializer(self.init)  # validate eagerly
 
     @classmethod
@@ -273,12 +277,13 @@ def convergence_trace(
     uniformly random balanced starting points, recording the aligned distance
     and objective at every iteration.  Returns a list of trace-record lists.
     """
+    restarts = as_whole(restarts, "restarts")
     params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
-    truth = random_init(n, K, mix_seed(base_seed, 2))
+    truth = random_init(params.n, params.K, mix_seed(base_seed, 2))
     g = sample(params, truth, mix_seed(base_seed, 0))
     traces = []
     for r in range(restarts):
-        h0 = random_init(n, K, mix_seed(base_seed, 1, r))
+        h0 = random_init(params.n, params.K, mix_seed(base_seed, 1, r))
         report = ptpm(g, h0, max_iters, truth=truth)
         traces.append(report.trajectory)
     if out is not None:
@@ -412,6 +417,8 @@ def uci_votes_pipeline(
     highest objective, and scores it against the party labeling.  Returns
     ``(hypergraph, truth, result_row)``.
     """
+    if (restarts := as_whole(restarts, "restarts")) < 1:
+        raise ValueError("restarts must be at least 1")
     votes, truth = load_votes(raw_file, per_party=per_party)
     g = votes_hypergraph(votes, columns, edge_prob, mix_seed(seed, 0))
     if g.num_edges == 0:

@@ -82,6 +82,7 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     K-th eigenvalue nearly ties the next, where any basis of the wobbling
     subspace is as informative as another.
     """
+    K = as_whole(K, "cluster count")
     check_divides(g.n, K)
     rng = seeded_rng(seed)
     M, shift = _spectral_operator(g, K)

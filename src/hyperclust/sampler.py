@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Hypergraph, as_int64, check_divides, seeded_rng
+from .core import Assignment, Hypergraph, as_int64, as_whole, check_divides, seeded_rng
 
 __all__ = [
     "ModelParams",
@@ -34,7 +34,9 @@ _ENUMERATION_LIMIT = 2_000_000
 
 
 def _check_model_shape(n, d, K):
-    """Checks that both parametrizations share: n nodes, order d, K | n."""
+    """Checks that both parametrizations share: n nodes, order d, K | n.
+    Returns n, d and K as ints."""
+    n, d, K = as_whole(n, "node count"), as_whole(d, "hyperedge order"), as_whole(K, "community count")
     if n < 2:
         raise ValueError("need at least 2 nodes")
     if d < 2:
@@ -42,6 +44,7 @@ def _check_model_shape(n, d, K):
     if K < 2:
         raise ValueError("need at least 2 communities")
     check_divides(n, K)
+    return n, d, K
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class ModelParams:
     q: float
 
     def __post_init__(self):
-        _check_model_shape(self.n, self.d, self.K)
+        for name, value in zip(("n", "d", "K"), _check_model_shape(self.n, self.d, self.K)):
+            object.__setattr__(self, name, value)
         for name, value in (("p", self.p), ("q", self.q)):
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name}={value} outside [0, 1]")
@@ -81,7 +85,8 @@ class LogRegimeParams:
     beta: float
 
     def __post_init__(self):
-        _check_model_shape(self.n, self.d, self.K)
+        for name, value in zip(("n", "d", "K"), _check_model_shape(self.n, self.d, self.K)):
+            object.__setattr__(self, name, value)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
 
@@ -109,7 +114,7 @@ def pool_sizes(n: int, d: int, K: int) -> tuple[int, int]:
     Exact big-integer combinatorics: the first component is K * C(n/K, d)
     and the two components always sum to C(n, d).
     """
-    check_divides(n, K)
+    n, d, K = _check_model_shape(n, d, K)
     m = n // K
     if d > m:
         raise ValueError(f"degenerate model: d={d} exceeds community size m={m}")
@@ -207,8 +212,11 @@ def uniformize(subsets, d0: int, n: int) -> tuple[Hypergraph, tuple[int, ...]]:
     (so 1-based ids n+1 .. n+d0-2).  All padded edges of equal deficit share
     the same dummies.  Returns the d0-uniform hypergraph together with the
     dummy ids, which downstream solvers exclude from the balance constraint.
+    The dummies are the trailing block of node ids, after every real node,
+    which is what ``solver.ptpm`` requires of its ``dummy_ids``.
     Input that is already d0-uniform is returned unchanged with no dummies.
     """
+    d0, n = as_whole(d0, "d0"), as_whole(n, "node count")
     if d0 < 2:
         raise ValueError("d0 must be >= 2")
     rows = set()

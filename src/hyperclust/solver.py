@@ -65,6 +65,7 @@ class SolveReport:
 
 def theoretical_iteration_budget(n: int) -> int:
     """Iteration cap ceil(2 ln ln n) + ceil(2 ln n / ln ln n) + 2 (natural logs)."""
+    n = as_whole(n, "node count")
     if n < 3:
         raise ValueError("budget needs n >= 3 so that ln(ln n) > 0")
     loglog = math.log(math.log(n))
@@ -88,9 +89,12 @@ def ptpm(
     a fixed point unless ``early_stop`` is disabled.  ``max_iters`` defaults
     to :func:`theoretical_iteration_budget` of the real node count.
 
-    ``dummy_ids`` lists padding nodes (from non-uniform inputs): they take
-    part in scoring like any node but are excluded from the balance
-    constraint; their labels are refreshed by a plain row argmax with ties
+    ``dummy_ids`` lists padding nodes (from non-uniform inputs), in any
+    order: they must be the trailing block of node ids, ``n_real .. g.n-1``
+    with ``n_real`` real nodes before them, as ``sampler.uniformize`` numbers
+    them.  They take part in scoring like any node but are excluded from
+    the balance constraint: each step projects the leading ``n_real`` score
+    rows, and refreshes the padding labels by a plain row argmax with ties
     to the lowest cluster.  ``truth`` may cover all nodes or the real nodes
     only; when given, aligned distances are recorded on the real nodes.
 
@@ -103,10 +107,9 @@ def ptpm(
     check_covers(g, h0)
     K = h0.K
     dummy = np.unique(as_int64(list(dummy_ids), "dummy ids"))
-    if dummy.size and (dummy.min() < 0 or dummy.max() >= g.n):
-        raise ValueError("dummy id out of range")
-    real = np.setdiff1d(np.arange(g.n), dummy)
-    n_real = int(real.size)
+    n_real = g.n - dummy.size
+    if not np.array_equal(dummy, np.arange(n_real, g.n)):
+        raise ValueError(f"dummy ids must be the trailing block of node ids, {n_real}..{g.n - 1}")
     check_divides(n_real, K)
     if max_iters is None:
         max_iters = theoretical_iteration_budget(n_real)
@@ -117,16 +120,17 @@ def ptpm(
         raise ValueError("truth must cover all nodes or the real nodes only")
 
     def project_step(C):
-        labels = np.empty(g.n, dtype=np.int64)
-        labels[dummy] = np.argmax(C[dummy], axis=1)  # ties to the lowest cluster
-        labels[real] = project_balanced(C[real]).labels
-        return Assignment(labels, K, balanced=not dummy.size)
+        a = project_balanced(C[:n_real])  # a view: the real rows lead
+        if not dummy.size:
+            return a
+        # padding rows by argmax, ties to the lowest cluster
+        return Assignment(np.concatenate([a.labels, np.argmax(C[n_real:], axis=1)]), K)
 
     def measure(iteration, a, wall_ms, changed, obj=None, score_ms=0.0, project_ms=0.0):
         # obj stays None until a later step scores this iterate
         dist = None
         if truth is not None:
-            cand = a if truth.n == g.n else Assignment(a.labels[real], K)
+            cand = a if truth.n == g.n else Assignment(a.labels[:n_real], K)
             _, dist = align_and_distance(cand, truth)
         return TraceRecord(iteration, obj, dist, wall_ms, changed, score_ms, project_ms)
 

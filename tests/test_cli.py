@@ -191,6 +191,12 @@ def test_uci_edge_prob_outside_unit_interval_exits_cleanly(tmp_path, capsys):
         assert "error: edge_prob" in capsys.readouterr().err
 
 
+def test_uci_without_a_restart_exits_cleanly(tmp_path, capsys):
+    code = main(["uci", "--data", str(write_votes(tmp_path)), "--per-party", "10", "--restarts", "0"])
+    assert code == 2
+    assert "error: restarts must be at least 1" in capsys.readouterr().err
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 12\nd = 2\nk = 2\np = 1.0\nq = 0.0\n# comment\n")

@@ -133,6 +133,73 @@ def test_whole_floats_and_numpy_integers_are_accepted():
     assert seeded_rng(np.uint64(2**64 - 1)).integers(2**32) == seeded_rng(-1).integers(2**32)
 
 
+def _count_cases():
+    """Calls that take a count, each with a fractional one, and the error."""
+    from hyperclust.experiments import GridConfig, convergence_trace, uci_votes_pipeline
+    from hyperclust.initializers import spectral_init
+    from hyperclust.sampler import LogRegimeParams, ModelParams, pool_sizes, uniformize
+    from hyperclust.solver import theoretical_iteration_budget
+
+    g = Hypergraph(6, 3, [[0, 1, 2], [3, 4, 5]])
+    return {
+        "ModelParams K": (lambda: ModelParams(12, 3, 2.5, 0.5, 0.1), "community count must be a whole"),
+        "ModelParams d": (lambda: ModelParams(12, 3.5, 2, 0.5, 0.1), "hyperedge order must be a whole"),
+        "LogRegimeParams n": (lambda: LogRegimeParams(12.5, 3, 2, 1.0, 1.0), "node count must be a whole"),
+        "GridConfig n": (lambda: GridConfig(12.5, 3, 2, (1.0,), (1.0,)), "node count must be a whole"),
+        "GridConfig trials": (lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), trials=1.5), "trials must be a whole"),
+        "GridConfig threads": (lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), threads=1.5), "threads must be a whole"),
+        "convergence_trace restarts": (
+            lambda: convergence_trace(12, 3, 2, 1.0, 1.0, restarts=1.5), "restarts must be a whole"),
+        "spectral_init K": (lambda: spectral_init(g, 2.5, 0), "cluster count must be a whole"),
+        "uniformize d0": (lambda: uniformize([(0, 1)], 3.5, 4), "d0 must be a whole"),
+        "uniformize n": (lambda: uniformize([(0, 1)], 3, 4.5), "node count must be a whole"),
+        "pool_sizes K": (lambda: pool_sizes(10, 3, 2.5), "community count must be a whole"),
+        "iteration budget n": (lambda: theoretical_iteration_budget(100.5), "node count must be a whole"),
+        # both checked before the file is read
+        "uci restarts": (lambda: uci_votes_pipeline("votes.data", restarts=1.5), "restarts must be a whole"),
+        "uci no restart": (lambda: uci_votes_pipeline("votes.data", restarts=0), "restarts must be at least 1"),
+    }
+
+
+COUNT_CASES = _count_cases()
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_counts_must_be_whole_numbers(case):
+    call, message = COUNT_CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_whole_float_counts_give_the_int_results():
+    from hyperclust.experiments import GridConfig, block_truth, convergence_trace, phase_transition
+    from hyperclust.initializers import spectral_init
+    from hyperclust.sampler import LogRegimeParams, ModelParams, sample
+    from hyperclust.solver import theoretical_iteration_budget
+
+    params = ModelParams(12.0, 3.0, 2.0, 0.5, 0.1)
+    assert (params.n, params.d, params.K, params.m) == (12, 3, 2, 6) and type(params.K) is int
+    assert LogRegimeParams(12.0, 3, 2.0, 1.0, 1.0).n == 12
+    g = sample(params, block_truth(12, 2), 0)
+    assert np.array_equal(g.edges, sample(ModelParams(12, 3, 2, 0.5, 0.1), block_truth(12, 2), 0).edges)
+    assert spectral_init(g, 2.0, 0).labels.tolist() == spectral_init(g, 2, 0).labels.tolist()
+    assert theoretical_iteration_budget(100.0) == theoretical_iteration_budget(100)
+    grid = dict(alphas=(8.0,), betas=(1.0,), init="random")
+    whole_floats = GridConfig(12.0, 3.0, 2.0, trials=2.0, threads=1.0, **grid)
+    assert (whole_floats.n, whole_floats.trials, whole_floats.threads) == (12, 2, 1)
+
+    def phase_rows(cfg):  # wall times aside
+        return [vars(row) | {"wall_ms": None} for row in phase_transition(cfg)[0]]
+
+    assert phase_rows(whole_floats) == phase_rows(GridConfig(12, 3, 2, trials=2, **grid))
+
+    def traces(n, K, restarts):  # wall times aside
+        runs = convergence_trace(n, 3, K, 8.0, 1.0, restarts=restarts, max_iters=3)
+        return [[(rec.iteration, rec.objective, rec.distance) for rec in run] for run in runs]
+
+    assert traces(12.0, 2.0, 2.0) == traces(12, 2, 2)
+
+
 @pytest.mark.parametrize("labels", [np.eye(2, dtype=int), 1, [[0, 1, 1, 0]], np.zeros((2, 2, 1), int)])
 def test_assignment_rejects_labels_that_are_not_one_dimensional(labels):
     with pytest.raises(ValueError, match="1-d"):

@@ -1,8 +1,9 @@
 """Full-size phase-transition grid; opt in with HYPERCLUST_RUN_LONG=1.
 
 Reproduces the large study: n=210, K=3, d=3, alpha 0..120 step 3, beta
-0..40 step 1, 5 trials per cell with spectral starts.  Takes tens of
-minutes serially; the driver fans out to all cores.
+0..40 step 1, 5 trials per cell with spectral starts: 8405 trials in
+about 190 CPU-s, 98 s wall on 2 processes of a 2-vCPU VM.  The driver fans
+out to all cores.
 """
 
 import math

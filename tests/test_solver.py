@@ -152,6 +152,21 @@ def test_fractional_dummy_ids_are_an_error():
     assert whole == ptpm(g, h0, dummy_ids=(6,)).final.labels.tolist()
 
 
+@pytest.mark.parametrize("dummy_ids", [(0,), (5,), (7,), (-1,), (4, 6)])
+def test_dummy_ids_must_be_the_trailing_block(dummy_ids):
+    g = Hypergraph.from_edge_list(7, 3, [(0, 1, 2), (3, 4, 5)])
+    h0 = Assignment(np.array([0, 0, 0, 1, 1, 1, 0]), 2)
+    with pytest.raises(ValueError, match="trailing block of node ids"):
+        ptpm(g, h0, dummy_ids=dummy_ids)
+
+
+def test_duplicated_dummy_ids_count_once():
+    g = Hypergraph.from_edge_list(7, 3, [(0, 1, 2), (3, 4, 6)])
+    h0 = Assignment(np.array([0, 1, 0, 1, 0, 1, 0]), 2)
+    once = ptpm(g, h0, dummy_ids=(6,))
+    assert ptpm(g, h0, dummy_ids=(6, 6)).final.labels.tolist() == once.final.labels.tolist()
+
+
 def test_fractional_iteration_budget_is_an_error():
     g = Hypergraph.from_edge_list(6, 3, [(0, 1, 2)])
     with pytest.raises(ValueError, match="max_iters must be a whole number"):
@@ -267,6 +282,72 @@ def test_padded_trajectories_are_pinned(K, d0, seed):
     records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
     blob = json.dumps([report.final.labels.tolist(), records])
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PADDED_DIGESTS[K, d0, seed]
+
+
+@pytest.mark.parametrize("K, d0, seed", sorted(PADDED_DIGESTS))
+def test_uniformize_pads_with_the_trailing_block_in_any_order(K, d0, seed):
+    n = 60
+    g, dummies, truth = _padded_planted(n, K, d0, np.random.default_rng([seed, K]))
+    assert dummies == tuple(range(n, g.n))
+    start = np.concatenate([random_init(n, K, seed=3).labels, np.zeros(len(dummies), dtype=np.int64)])
+    runs = [ptpm(g, Assignment(start, K), truth=truth, dummy_ids=ids) for ids in (dummies, dummies[::-1])]
+    sorted_ids, reversed_ids = (
+        [report.final.labels.tolist(), [(r.iteration, r.objective, r.distance, r.changed) for r in report.trajectory]]
+        for report in runs
+    )
+    assert reversed_ids == sorted_ids
+
+
+def _recording_solver(monkeypatch):
+    """Patch the solver's scorer, projection and ``Assignment`` to record
+    each score matrix with the iterate it scored, each projection's input and
+    output, and how many assignments the solver builds itself."""
+    import hyperclust.solver as solver
+
+    seen = {"scored": [], "projected": [], "built": 0}
+    score, project, assignment = solver.multilinear_score, solver.project_balanced, solver.Assignment
+
+    def scoring(g, h):
+        seen["scored"].append((h, score(g, h)))
+        return seen["scored"][-1][1]
+
+    def projecting(C):
+        seen["projected"].append((C, project(C)))
+        return seen["projected"][-1][1]
+
+    def building(*args, **kwargs):
+        seen["built"] += 1
+        return assignment(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "multilinear_score", scoring)
+    monkeypatch.setattr(solver, "project_balanced", projecting)
+    monkeypatch.setattr(solver, "Assignment", building)
+    return seen
+
+
+def test_an_unpadded_step_projects_a_view_of_its_scores(monkeypatch):
+    g, _ = planted_instance(60, 3, 2, 40.0, 4.0, 7)
+    seen = _recording_solver(monkeypatch)
+    report = ptpm(g, random_init(60, 2, seed=4), 6, early_stop=False)
+    assert len(seen["scored"]) == report.iterations_run == 6
+    assert len(seen["projected"]) == 7 and seen["built"] == 0
+    iterates = [out for _, out in seen["projected"]]
+    for (scored, scores), (C, _), before in zip(seen["scored"], seen["projected"][1:], iterates):
+        assert np.shares_memory(C, scores) and C.shape == scores.shape
+        assert scored is before  # each step's iterate is the projection's own output
+    assert report.final is iterates[-1]
+
+
+def test_a_padded_step_builds_one_assignment(monkeypatch):
+    g, dummies, _ = _padded_planted(60, 3, 4, np.random.default_rng([7, 3]))
+    start = np.concatenate([random_init(60, 3, seed=3).labels, np.zeros(len(dummies), dtype=np.int64)])
+    h0 = Assignment(start, 3)
+    seen = _recording_solver(monkeypatch)
+    report = ptpm(g, h0, 4, early_stop=False, record_trajectory=False, dummy_ids=dummies)
+    assert len(seen["projected"]) == report.iterations_run + 1 == 5
+    assert seen["built"] == 5
+    for (_, scores), (C, _) in zip(seen["scored"], seen["projected"][1:]):
+        assert np.shares_memory(C, scores) and C.shape == (60, 3)
 
 
 # --- trajectory objectives read from the next score matrix ---
