@@ -61,6 +61,7 @@ def mix_seed(base_seed: int, *parts: int) -> int:
 
 def block_truth(n: int, K: int) -> Assignment:
     """Canonical planted partition: nodes 0..m-1 in cluster 0, and so on."""
+    n, K = as_whole(n, "node count"), as_whole(K, "cluster count")
     check_divides(n, K)
     return Assignment(np.repeat(np.arange(K), n // K), K, balanced=True)
 

@@ -10,6 +10,10 @@ invariants are checked here on small instances (n <= 600), so that a change
 that doubles or skips one of these calls fails tier-1.  Calls are counted
 by wrapping the names in ``bench/layers.py`` ``LAYERS``, as the benchmark's
 tracer does; the table is read without importing the benchmark package.
+A spectral start on the edge operator must also take at most three
+quarters of the operator products that the eigensolver's default stop
+takes from the same seed, so that a start without its gap-relative stop
+fails tier-1.
 """
 
 import importlib
@@ -21,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from hyperclust import experiments, initializers, solver
+from hyperclust.core import seeded_rng
 from hyperclust.sampler import LogRegimeParams, to_probabilities
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -80,6 +85,24 @@ def test_a_spectral_start_on_the_edge_operator_rounds_once(calls):
     # one balancing projection per start, then the solver's own
     assert calls["projection.project_balanced"] == 2 + iterations + 2
     _check_scores_and_tie_breaks(calls, iterations)
+
+
+def test_a_spectral_start_takes_at_most_three_quarters_of_the_default_products(monkeypatch):
+    # spectral_init stops at a residual relative to the eigengap; the
+    # default stop of _top_eigenvectors solves to 1e-8 of the shift
+    g, truth = _planted(600, 4, 4, 840.0, 3.0, 2)
+    products = Counter()
+    matmul = initializers._EdgeOperator.__matmul__
+    monkeypatch.setattr(initializers._EdgeOperator, "__matmul__", _counting(products, "M @ X", matmul))
+    M, shift = initializers._spectral_operator(g, truth.K)
+    assert isinstance(M, initializers._EdgeOperator)
+    for seed in range(2):
+        products.clear()
+        initializers._top_eigenvectors(M, truth.K, seeded_rng(seed), scale=shift)
+        default = products["M @ X"]
+        products.clear()
+        initializers.spectral_init(g, truth.K, seed)
+        assert 0 < products["M @ X"] <= 0.75 * default
 
 
 def test_phase_cells_round_once_per_start(calls):

@@ -135,8 +135,8 @@ def test_whole_floats_and_numpy_integers_are_accepted():
 
 def _count_cases():
     """Calls that take a count, each with a fractional one, and the error."""
-    from hyperclust.experiments import GridConfig, convergence_trace, uci_votes_pipeline
-    from hyperclust.initializers import spectral_init
+    from hyperclust.experiments import GridConfig, block_truth, convergence_trace, uci_votes_pipeline
+    from hyperclust.initializers import random_init, spectral_init
     from hyperclust.sampler import LogRegimeParams, ModelParams, pool_sizes, uniformize
     from hyperclust.solver import theoretical_iteration_budget
 
@@ -151,6 +151,9 @@ def _count_cases():
         "convergence_trace restarts": (
             lambda: convergence_trace(12, 3, 2, 1.0, 1.0, restarts=1.5), "restarts must be a whole"),
         "spectral_init K": (lambda: spectral_init(g, 2.5, 0), "cluster count must be a whole"),
+        "random_init n": (lambda: random_init(12.5, 2, 0), "node count must be a whole"),
+        "random_init K": (lambda: random_init(12, 2.5, 0), "cluster count must be a whole"),
+        "block_truth K": (lambda: block_truth(12, 2.5), "cluster count must be a whole"),
         "uniformize d0": (lambda: uniformize([(0, 1)], 3.5, 4), "d0 must be a whole"),
         "uniformize n": (lambda: uniformize([(0, 1)], 3, 4.5), "node count must be a whole"),
         "pool_sizes K": (lambda: pool_sizes(10, 3, 2.5), "community count must be a whole"),

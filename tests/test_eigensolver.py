@@ -20,17 +20,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperclust import initializers
-from hyperclust.core import Hypergraph, seeded_rng
+from hyperclust import experiments, initializers
+from hyperclust.core import Assignment, Hypergraph, seeded_rng
 from hyperclust.initializers import (
     EigensolverError,
     _chebyshev_filter,
     _EdgeOperator,
+    _kmeans,
     _spectral_operator,
     _top_eigenvectors,
     similarity_matrix,
     spectral_init,
 )
+from hyperclust.projection import project_balanced
+from hyperclust.sampler import LogRegimeParams, to_probabilities
 
 
 def digest(data: bytes) -> str:
@@ -460,3 +463,69 @@ def test_capped_warning_reports_steps_and_residual():
     with pytest.raises(EigensolverError) as err:
         spectral_init(near_tie(), 2, 0, strict=True)
     assert f"(residual {err.value.residual:.3e})" in message
+
+
+def test_capped_error_and_warning_report_the_relative_gap():
+    # the top four eigenvalues of near_tie's M span 759 - 758.26 over a shift of 253
+    with pytest.raises(EigensolverError) as err:
+        spectral_init(near_tie(), 2, 0, strict=True)
+    assert 0 < err.value.gap < 0.74 / 253
+    with pytest.warns(UserWarning) as caught:
+        spectral_init(near_tie(), 2, 0, strict=False)
+    assert f"relative eigengap {err.value.gap:.1e}" in str(caught[0].message)
+
+
+# spectral_init's gap-relative stop (``gap_tol``) against the default
+# absolute one: Davis-Kahan bounds the angle to the top-K eigenspace by the
+# top-K residual over theta_K - lambda_{K+1}, and the stop holds that ratio
+# at most gap_tol when its gap estimate is below the true gap.
+GAP_TOL = initializers._GAP_TOL
+# n, d and K with the size rule's ratio: the dense product at n = 210 (its
+# own choice there) and the edge operator, forced, at n = 600
+DENSE = initializers._DENSE_RATIO
+HIGH_GAP_SHAPES = [(210, 3, 2, DENSE), (210, 3, 3, DENSE), (600, 4, 2, 0), (600, 4, 3, 0), (600, 4, 4, 0)]
+
+
+def high_gap_instance(case):
+    """A planted instance with (sqrt(alpha) - sqrt(beta))^2 between 2T and
+    4T, T = K^(d-1) (d-1)! the exact-recovery boundary, and its K and ratio."""
+    n, d, K, ratio = HIGH_GAP_SHAPES[case % len(HIGH_GAP_SHAPES)]
+    rng = np.random.default_rng([27, case])
+    T = K ** (d - 1) * math.factorial(d - 1)
+    beta = float(rng.uniform(0, 2 * T))
+    alpha = (math.sqrt(beta) + math.sqrt(float(rng.uniform(2, 4)) * T)) ** 2
+    g, _ = experiments.planted_instance(to_probabilities(LogRegimeParams(n, d, K, alpha, beta)), case)
+    return g, K, ratio
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_gap_relative_stop_rounds_like_the_default_solve(case):
+    g, K, ratio = high_gap_instance(case)
+    M, shift = with_ratio(ratio, _spectral_operator, g, K)
+    assert isinstance(M, np.ndarray if ratio else _EdgeOperator)
+    V = _top_eigenvectors(M, K, seeded_rng(case), scale=shift)
+    W = _top_eigenvectors(M, K, seeded_rng(case), scale=shift, gap_tol=GAP_TOL)
+    assert sin_largest_angle(W, V) <= GAP_TOL
+    expected = project_balanced(Assignment(_kmeans(V, K), K).one_hot())
+    assert with_ratio(ratio, spectral_init, g, K, case).labels.tolist() == expected.labels.tolist()
+
+
+def test_gap_relative_stop_is_inert_without_a_guard_column(monkeypatch):
+    # p == K: the block is all of R^n (n == K), or the guard is switched off
+    cases = [(g, K) for g, K in edge_graphs() if g.n == K]
+    assert cases
+    for g, K in cases:
+        M, shift = _spectral_operator(g, K)
+        default = _top_eigenvectors(M, K, seeded_rng(7), scale=shift)
+        assert np.array_equal(_top_eigenvectors(M, K, seeded_rng(7), scale=shift, gap_tol=GAP_TOL), default)
+    monkeypatch.setattr(initializers, "_GUARD", 0)
+    make, K, _ = BASIS_DIGESTS["d3"]
+    M, shift = _spectral_operator(make(), K)
+    runs = []
+    for gap_tol in (None, GAP_TOL):
+        op = CountingOperator(M)
+        runs.append((_top_eigenvectors(op, K, seeded_rng(7), scale=shift, gap_tol=gap_tol), op.products))
+    assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
+    with pytest.raises(EigensolverError) as err:
+        _top_eigenvectors(M, K, seeded_rng(7), max_iter=4, scale=shift, gap_tol=GAP_TOL)
+    assert err.value.gap == 0.0
