@@ -253,6 +253,14 @@ def objective(g: Hypergraph, h: Assignment) -> int:
 # --- text formats (1-based on disk, 0-based in memory) ---
 
 
+def _ints(path, lineno, tokens) -> list[int]:
+    """The tokens of one input line as ints; a malformed token names its line."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected integers, got {' '.join(tokens)!r}") from None
+
+
 def write_hypergraph(g: Hypergraph, path):
     with open(path, "w") as f:
         f.write(f"{g.n} {g.d}\n")
@@ -274,12 +282,12 @@ def read_hypergraph(path) -> Hypergraph:
             if header is None:
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: header must be 'n d'")
-                header = (int(parts[0]), int(parts[1]))
+                header = tuple(_ints(path, lineno, parts))
                 continue
             n, d = header
             if len(parts) != d:
                 raise ValueError(f"{path}:{lineno}: expected {d} node ids")
-            ids = [int(p) for p in parts]
+            ids = _ints(path, lineno, parts)
             if any(x < 1 or x > n for x in ids):
                 raise ValueError(f"{path}:{lineno}: node id out of range 1..{n}")
             rows.append(tuple(x - 1 for x in ids))
@@ -302,7 +310,7 @@ def read_assignment(path, K: int | None = None) -> Assignment:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            value = int(line)
+            (value,) = _ints(path, lineno, [line])
             if value < 1:
                 raise ValueError(f"{path}:{lineno}: labels are 1-based")
             labels.append(value - 1)

@@ -16,7 +16,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,10 @@ def make_initializer(strategy: str):
         # capped basis is accepted there
         return lambda g, K, truth, seed: spectral_init(g, K, seed, strict=False)
     if strategy.startswith("corrupt:"):
-        swaps = int(strategy.split(":", 1)[1])
+        try:
+            swaps = int(strategy.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"init strategy {strategy!r}: use corrupt:<swaps>, a whole swap count") from None
         def init(g, K, truth, seed):
             if truth is None:
                 raise ValueError("corrupt initializer needs the ground truth")
@@ -106,28 +109,35 @@ class GridConfig:
     def __post_init__(self):
         if not self.alphas or not self.betas:
             raise ValueError("alpha/beta grids must be nonempty")
-        # the model's own checks, so that a cell is skipped only for its probabilities
-        lp = LogRegimeParams(self.n, self.d, self.K, min(self.alphas), min(self.betas))
+        # the model's own checks on every cell, so that a cell is skipped only
+        # for its probabilities
+        for alpha, beta in product(self.alphas, self.betas):
+            lp = LogRegimeParams(self.n, self.d, self.K, alpha, beta)
         counts = {"n": lp.n, "d": lp.d, "K": lp.K, "trials": as_whole(self.trials, "trials"),
                   "threads": as_whole(self.threads, "threads")}
         for name, value in counts.items():
             object.__setattr__(self, name, value)
         if self.trials < 1:
             raise ValueError("need at least one trial per cell")
+        if self.threads < 1:
+            raise ValueError("need at least one thread")
         make_initializer(self.init)  # validate eagerly
 
     @classmethod
     def from_ranges(cls, n, d, K, alpha_range, beta_range, **kw):
         """Build from inclusive (start, stop, step) triples."""
-        return cls(n, d, K, _inclusive(*alpha_range), _inclusive(*beta_range), **kw)
+        return cls(n, d, K, _inclusive("alpha", *alpha_range), _inclusive("beta", *beta_range), **kw)
 
 
-def _inclusive(start, stop, step):
+def _inclusive(name, start, stop, step):
+    where = f"{name} range {start}:{stop}:{step}"
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"{where}: start, stop and step must be finite")
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ValueError(f"{where}: step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     if count < 1:
-        raise ValueError("empty range")
+        raise ValueError(f"{where} is empty")
     return tuple(start + i * step for i in range(count))
 
 
@@ -395,9 +405,7 @@ def votes_hypergraph(votes, columns, edge_prob, seed) -> Hypergraph:
             if count == 0 or edge_prob == 0:
                 continue
             keep = rng.random(count) < edge_prob
-            for idx, triple in enumerate(combinations(group.tolist(), 3)):
-                if keep[idx]:
-                    edges.add(triple)
+            edges.update(compress(combinations(group.tolist(), 3), keep.tolist()))
     return Hypergraph(n, 3, list(edges))
 
 

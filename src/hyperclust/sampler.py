@@ -5,15 +5,15 @@ Every d-subset of nodes becomes a hyperedge independently: with probability
 ``q`` otherwise.  Sampling draws Binomial counts for the monochromatic and
 cross pools and fills each with uniformly chosen distinct subsets through
 one drawer: each pool supplies its own batch proposal, filtered by rejection
-against a dedup set, and its own enumeration, listed only when the pool is
-nearly exhausted.
+against a dedup set, and its own listing, one int64 array of every subset in
+the pool, built only when the pool is nearly exhausted.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,11 +27,6 @@ __all__ = [
     "sample",
     "uniformize",
 ]
-
-# pools smaller than this may be enumerated outright when the requested
-# count is a large fraction of the pool (avoids coupon-collector stalls)
-_ENUMERATION_LIMIT = 2_000_000
-
 
 def _check_model_shape(n, d, K):
     """Checks that both parametrizations share: n nodes, order d, K | n.
@@ -87,8 +82,8 @@ class LogRegimeParams:
     def __post_init__(self):
         for name, value in zip(("n", "d", "K"), _check_model_shape(self.n, self.d, self.K)):
             object.__setattr__(self, name, value)
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
+            raise ValueError(f"alpha={self.alpha} and beta={self.beta} must be nonnegative")
 
 
 def to_probabilities(lp: LogRegimeParams) -> ModelParams:
@@ -156,39 +151,42 @@ def sample(params: ModelParams, ground_truth: Assignment, seed: int) -> Hypergra
         lab = labels[cand]
         return cand, distinct & ~np.all(lab == lab[:, :1], axis=1)
 
-    # generators: a pool is listed only when it is nearly exhausted
-    same_subsets = (
-        tuple(nodes[list(c)].tolist())
-        for nodes in cluster_nodes
-        for c in itertools.combinations(range(m), d)
-    )
-    cross_subsets = (
-        c
-        for c in itertools.combinations(range(n), d)
-        if not np.all(labels[list(c)] == labels[c[0]])
-    )
+    def list_same():  # cluster by cluster
+        return cluster_nodes[:, _subsets(m, d)].reshape(-1, d)
+
+    def list_cross():
+        rows = _subsets(n, d)
+        lab = labels[rows]
+        return rows[~np.all(lab == lab[:, :1], axis=1)]
 
     edges: set[tuple] = set()
-    _draw(rng, n_same, same_pool, propose_same, same_subsets, edges)
-    _draw(rng, n_cross, cross_pool, propose_cross, cross_subsets, edges)
+    _draw(rng, n_same, same_pool, propose_same, list_same, edges)
+    _draw(rng, n_cross, cross_pool, propose_cross, list_cross, edges)
     return Hypergraph(n, d, np.array(sorted(edges), dtype=np.int64))
 
 
-def _draw(rng, count, pool, propose, subsets, edges):
+def _subsets(n, d):
+    """Every d-subset of ``range(n)`` as one ascending row, in lexicographic order."""
+    flat = chain.from_iterable(combinations(range(n), d))
+    return np.fromiter(flat, np.int64, count=math.comb(n, d) * d).reshape(-1, d)
+
+
+def _draw(rng, count, pool, propose, listing, edges):
     """Add ``count`` distinct subsets of one pool to ``edges``.
 
     ``propose(batch)`` draws ``batch`` candidate rows, each sorted ascending,
-    with a mask of those that lie in the pool; ``subsets`` yields the whole
-    pool in a fixed order.  A nearly exhausted pool is enumerated and
-    subsampled without replacement; otherwise candidates are drawn in
-    batches and kept when the mask allows and the subset is new.
+    with a mask of those that lie in the pool; ``listing()`` returns the
+    whole pool as a (pool, d) int64 array in a fixed order.  A nearly
+    exhausted pool (``count * 2 > pool``) is listed and subsampled without
+    replacement, whatever its size: the listing holds at most about four
+    times the rows kept, and less memory than the tuple set they fill.
+    Otherwise candidates are drawn in batches and kept when the mask allows
+    and the subset is new, which stays cheap while at least half the pool
+    is unused.
     """
-    if count == 0:
-        return
-    if count * 2 > pool and pool <= _ENUMERATION_LIMIT:
-        all_subsets = list(subsets)
+    if count * 2 > pool:
         idx = rng.choice(pool, size=count, replace=False)
-        edges.update(all_subsets[i] for i in sorted(idx.tolist()))
+        edges.update(zip(*listing()[idx].T.tolist()))
         return
     need = count
     while need > 0:

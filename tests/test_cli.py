@@ -334,6 +334,45 @@ def test_phase_threads_match_the_serial_run(tmp_path, capsys):
     assert phase(2) == serial
 
 
+PHASE = ["phase", "--n", "12", "--k", "2", "--alpha-range", "5:5:1", "--beta-range", "1:1:1"]
+
+
+@pytest.mark.parametrize("alpha_range", ["0:inf:1", "0:nan:1", "inf:5:1", "0:5:inf"])
+def test_a_non_finite_range_exits_cleanly(alpha_range, tmp_path, capsys):
+    argv = PHASE + ["--out", str(tmp_path / "phase.csv")]
+    argv[argv.index("--alpha-range") + 1] = alpha_range
+    assert main(argv) == 2
+    assert "error: alpha range" in capsys.readouterr().err
+    assert not (tmp_path / "phase.csv").exists()
+
+
+@pytest.mark.parametrize("flag,env", [(["--threads", "0"], None), (["--threads", "-3"], None), ([], "0")])
+def test_fewer_than_one_thread_is_an_error(flag, env, tmp_path, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("HYPERCLUST_THREADS", env)
+    assert main(PHASE + flag + ["--out", str(tmp_path / "phase.csv")]) == 2
+    assert "error: need at least one thread" in capsys.readouterr().err
+    assert not (tmp_path / "phase.csv").exists()
+
+
+def test_a_malformed_corrupt_strategy_names_its_form(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"'corrupt:x'.*corrupt:<swaps>"):
+        make_initializer("corrupt:x")
+    assert main(PHASE + ["--init", "corrupt:x", "--out", str(tmp_path / "phase.csv")]) == 2
+    assert "corrupt:<swaps>" in capsys.readouterr().err
+
+
+def test_malformed_numbers_in_input_files_name_their_line(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("6 3\n1 2 3\n4 five 6\n")
+    assert main(["solve", "--graph", str(graph), "--k", "2", "--out", str(tmp_path / "h.txt")]) == 2
+    assert f"{graph}:3: expected integers" in capsys.readouterr().err
+    labels = tmp_path / "h.txt"
+    labels.write_text("1\n2\none\n")
+    assert main(["score", "--pred", str(labels), "--truth", str(labels)]) == 2
+    assert f"{labels}:3: expected integers" in capsys.readouterr().err
+
+
 def test_invalid_phase_model_is_an_error_not_skipped_cells(tmp_path, capsys):
     code = main(["phase", "--n", "10", "--k", "3", "--alpha-range", "5:5:1",
                  "--beta-range", "1:1:1", "--out", str(tmp_path / "phase.csv")])

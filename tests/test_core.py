@@ -516,6 +516,23 @@ def test_read_errors(tmp_path):
         read_assignment(empty)
 
 
+@pytest.mark.parametrize(
+    "read,text,line",
+    [
+        (read_hypergraph, "4 x\n1 2 3\n", 1),
+        (read_hypergraph, "4 3\n1 2 3\n1 x 4\n", 3),
+        (read_hypergraph, "4 3\n1 2 3.0\n", 2),
+        (read_assignment, "# labels\n1\nx\n", 3),
+    ],
+    ids=["header", "node id", "fractional id", "label"],
+)
+def test_a_token_that_is_not_an_integer_names_its_line(tmp_path, read, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.txt:{line}: expected integers"):
+        read(path)
+
+
 def test_from_edge_list_rejects_wrong_arity():
     # six ids in 2-sets: a flat reshape to 3 columns would accept them
     with pytest.raises(ValueError):

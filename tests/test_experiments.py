@@ -60,14 +60,35 @@ def test_grid_config_from_ranges():
 
 
 @pytest.mark.parametrize(
-    "n,d,K,alphas",
-    [(10, 3, 3, (5.0,)), (12, 3, 2, (-5.0, 10.0)), (12, 1, 2, (5.0,))],
-    ids=["k-does-not-divide-n", "negative-alpha", "order-1"],
+    "n,d,K,alphas,betas",
+    [
+        (10, 3, 3, (5.0,), (1.0,)),
+        (12, 3, 2, (-5.0, 10.0), (1.0,)),
+        (12, 1, 2, (5.0,), (1.0,)),
+        (12, 3, 2, (5.0, math.nan), (1.0,)),
+        (12, 3, 2, (5.0,), (1.0, math.nan)),
+    ],
+    ids=["k-does-not-divide-n", "negative-alpha", "order-1", "nan-alpha", "nan-beta"],
 )
-def test_grid_config_rejects_an_invalid_model_up_front(n, d, K, alphas):
-    # only a cell's probabilities may skip it; every other fault is the grid's
+def test_grid_config_rejects_an_invalid_model_up_front(n, d, K, alphas, betas):
+    # only a cell's probabilities may skip it; every other fault is the grid's,
+    # and every cell is checked, not only the smallest alpha and beta
     with pytest.raises(ValueError):
-        GridConfig(n, d, K, alphas, (1.0,))
+        GridConfig(n, d, K, alphas, betas)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position", ["start", "stop", "step"])
+def test_grid_ranges_must_be_finite(position, bad):
+    start_stop_step = {"start": 0.0, "stop": 12.0, "step": 3.0} | {position: bad}
+    with pytest.raises(ValueError, match=r"beta range .*: start, stop and step must be finite"):
+        GridConfig.from_ranges(12, 3, 2, (0, 12, 3), tuple(start_stop_step.values()))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_grid_config_needs_at_least_one_thread(threads):
+    with pytest.raises(ValueError, match="at least one thread"):
+        GridConfig(12, 3, 2, (5.0,), (1.0,), threads=threads)
 
 
 def test_result_row_consistency_guard():

@@ -2,8 +2,9 @@
 
 Reproduces the large study: n=210, K=3, d=3, alpha 0..120 step 3, beta
 0..40 step 1, 5 trials per cell with spectral starts: 8405 trials in
-about 145 CPU-s, 73 s wall on 2 processes of a 2-vCPU VM.  The driver fans
-out to all cores.
+about 105 CPU-s and 54 s wall on 2 processes of a 2-vCPU VM (the workers'
+CPU time by ``resource.getrusage(RUSAGE_CHILDREN)`` around
+``phase_transition``).  The driver fans out to all cores.
 """
 
 import math

@@ -80,6 +80,17 @@ def test_enumerated_sample_edges_are_pinned(seed):
     assert digest(g.edges.tobytes()) == ENUMERATED_SAMPLE_DIGESTS[seed]
 
 
+def test_larger_enumerated_sample_edges_are_pinned():
+    # a 60-node dense cell: both pools (8120 and 26100 subsets) are listed
+    truth = Assignment(np.repeat(np.arange(2), 30), 2, balanced=True)
+    g = sample(ModelParams(60, 3, 2, 0.9, 0.7), truth, 0)
+    lab = truth.labels[g.edges]
+    n_same = int(np.all(lab == lab[:, :1], axis=1).sum())
+    assert 2 * n_same > 8120 and 2 * (g.num_edges - n_same) > 26100
+    assert g.num_edges == 25538
+    assert digest(g.edges.tobytes()) == "b2ea95aa04de5b52"
+
+
 def test_votes_hypergraph_edges_are_pinned():
     rng = np.random.default_rng(4)
     votes = rng.choice(np.array(["y", "n", "?"]), size=(24, 16), p=[0.45, 0.45, 0.1])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from hyperclust.core import Assignment
 from hyperclust.experiments import block_truth
+from hyperclust.initializers import random_init
 from hyperclust.sampler import (
     LogRegimeParams,
     ModelParams,
+    _draw,
     pool_sizes,
     sample,
     to_probabilities,
@@ -29,6 +32,12 @@ def test_model_params_validation():
         ModelParams(6, 3, 2, 0.1, -0.2)
     p = ModelParams(6, 3, 2, 0.0, 0.0)  # degenerate limits allowed
     assert p.m == 3
+
+
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)])
+def test_log_regime_params_reject_nan_and_negative_rates(alpha, beta):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        LogRegimeParams(12, 3, 2, alpha, beta)
 
 
 def test_to_probabilities_formula():
@@ -123,6 +132,29 @@ def test_sample_validates_truth():
         sample(params, Assignment(np.array([0, 0, 0, 0, 1, 1]), 2), 0)
     with pytest.raises(ValueError):
         sample(params, block_truth(8, 2), 0)
+
+
+@pytest.mark.parametrize("truth", [block_truth(30, 3), random_init(30, 3, 4)], ids=["blocks", "shuffled"])
+def test_complete_hypergraph_is_every_subset(truth):
+    # p = q = 1: both pools are listed whole
+    g = sample(ModelParams(30, 3, 3, 1.0, 1.0), truth, 0)
+    assert edge_set(g) == set(itertools.combinations(range(30), 3))
+
+
+def test_nearly_exhausted_pool_is_listed_at_any_size():
+    # a pool above two million subsets is still listed, never drawn by rejection
+    def propose(batch):
+        raise AssertionError("a nearly exhausted pool must not be drawn by rejection")
+
+    def listing():
+        return np.arange(pool, dtype=np.int64).reshape(-1, 1) + 7
+
+    pool, count = 2_000_001, 1_000_001
+    edges = set()
+    _draw(np.random.default_rng(3), count, pool, propose, listing, edges)
+    assert len(edges) == count
+    idx = np.random.default_rng(3).choice(pool, size=count, replace=False)
+    assert edges == {(i + 7,) for i in idx.tolist()}
 
 
 def test_sample_concentration():
