@@ -25,7 +25,7 @@ from .core import _MASK64, Assignment, Hypergraph, as_whole, check_divides, obje
 from .initializers import corrupt, random_init, spectral_init
 from .metrics import exact_recovery, misclassification_rate
 from .sampler import LogRegimeParams, sample, to_probabilities
-from .solver import ptpm
+from .solver import check_max_iters, ptpm
 
 __all__ = [
     "GridConfig",
@@ -83,6 +83,8 @@ def make_initializer(strategy: str):
             swaps = int(strategy.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"init strategy {strategy!r}: use corrupt:<swaps>, a whole swap count") from None
+        if swaps < 0:
+            raise ValueError(f"init strategy {strategy!r}: the swap count must be nonnegative")
         def init(g, K, truth, seed):
             if truth is None:
                 raise ValueError("corrupt initializer needs the ground truth")
@@ -114,7 +116,7 @@ class GridConfig:
         for alpha, beta in product(self.alphas, self.betas):
             lp = LogRegimeParams(self.n, self.d, self.K, alpha, beta)
         counts = {"n": lp.n, "d": lp.d, "K": lp.K, "trials": as_whole(self.trials, "trials"),
-                  "threads": as_whole(self.threads, "threads")}
+                  "threads": as_whole(self.threads, "threads"), "max_iters": check_max_iters(self.max_iters)}
         for name, value in counts.items():
             object.__setattr__(self, name, value)
         if self.trials < 1:
@@ -288,7 +290,8 @@ def convergence_trace(
     uniformly random balanced starting points, recording the aligned distance
     and objective at every iteration.  Returns a list of trace-record lists.
     """
-    restarts = as_whole(restarts, "restarts")
+    if (restarts := as_whole(restarts, "restarts")) < 1:
+        raise ValueError("restarts must be at least 1")
     params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
     truth = random_init(params.n, params.K, mix_seed(base_seed, 2))
     g = sample(params, truth, mix_seed(base_seed, 0))

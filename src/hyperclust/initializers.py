@@ -123,7 +123,9 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
         raise ValueError("ground truth must be balanced")
     n, K = ground_truth.n, ground_truth.K
     swaps = as_whole(swaps, "swaps")
-    if swaps < 0 or 2 * swaps > n:
+    if swaps < 0:
+        raise ValueError(f"swaps must be nonnegative, got {swaps}")
+    if 2 * swaps > n:
         raise ValueError(f"swaps={swaps} needs 2*swaps <= n={n}")
     if swaps and K == 1:
         raise ValueError("swaps need a second cluster to exchange labels with")

@@ -19,9 +19,11 @@ for every input:
    the dual objective, capped so that no cluster overfills.  Each step is
    O(nK) numpy work plus O(K^2) Python work, with no loop over nodes, and
    there are at most K - 1 dual steps per overflowing node; a balanced
-   start is returned as it is.
-3. :func:`_lex_min_over_ties` reads the lexicographically smallest optimum
-   off the final tight-arc mask: an assignment is optimal iff it is
+   start goes straight to step 3.
+3. The routing pass that finds no overfull cluster hands its own state,
+   the tied nodes' tight arcs, their clusters and the K x K arc counts, to
+   :func:`_lex_min_over_ties`, which writes the lexicographically smallest
+   optimum into the assignment: an assignment is optimal iff it is
    feasible and supported on arcs with zero reduced cost.  Nodes with the
    same two or more such arcs, the same option type, are interchangeable,
    so the state is a count per option type and cluster.  A greedy pass in
@@ -92,8 +94,8 @@ def project_balanced(scores) -> Assignment:
     # transportation costs: minimize -scores, cluster-major, so that the
     # per-node reductions over the K clusters run along contiguous rows
     cost = np.negative(C.T, order="C")
-    assign, _, tight = _transport(cost, n // K, tol)
-    return Assignment(_lex_min_over_ties(tight, assign), K, balanced=True)
+    assign, _, _ = _transport(cost, n // K, tol)
+    return Assignment(assign, K, balanced=True)
 
 
 def _transport(cost, m, tol):
@@ -101,18 +103,21 @@ def _transport(cost, m, tol):
 
     ``cost`` is a (K, n) int64 or float64 array, cluster-major:
     ``cost[k, i]`` is the cost of node i in cluster k.  Returns
-    ``(assign, v, tight)``: ``assign[i]`` is the cluster of node i, ``v``
-    are cluster potentials (an int64 or float64 array) and ``tight`` is the
-    (K, n) mask of the arcs whose reduced cost ``cost[k, i] - v[k] - u[i]``
-    is within ``tol`` of zero, where ``u[i]`` is the least of
-    ``cost[:, i] - v``.  Every node is assigned along a tight arc, so the
-    pair is dual feasible and complementary up to ``tol``, hence optimal.
+    ``(assign, v, tight)``: ``assign[i]`` (int64) is the cluster of node i,
+    ``v`` are cluster potentials (an int64 or float64 array) and ``tight``
+    is the (K, n) mask of the arcs whose reduced cost
+    ``cost[k, i] - v[k] - u[i]`` is within ``tol`` of zero, where ``u[i]``
+    is the least of ``cost[:, i] - v``.  Every node is assigned along a
+    tight arc, so the pair is dual feasible and complementary up to
+    ``tol``, hence optimal; of all such optima, ``assign`` is the
+    lexicographically smallest, which the last routing pass reads off with
+    :func:`_lex_min_over_ties`.
 
     Primal-dual method for the transportation problem (Ford & Fulkerson,
     Nav. Res. Logist. Q. 4, 1957), moving nodes in bulk over the K-vertex
     cluster graph.  Every node starts at its lowest tight cluster with
-    ``v = 0``; a start without an overfull cluster is returned at once.
-    Otherwise each pass of the loop does two things:
+    ``v = 0``; a start without an overfull cluster goes straight to the
+    tie-break.  Otherwise each pass of the loop does two things:
 
     1. Routing.  Arc a -> b exists while some node of cluster a has a tight
        arc to b; the arc counts come from one ``bincount`` over
@@ -218,7 +223,9 @@ def _route(assign, excess, tight, multi):
 
     Moves batches of nodes from overfull to underfull clusters along
     shortest paths of tight arcs until no path is left.  Returns None when
-    no cluster is overfull, else the mask of clusters reachable from an
+    no cluster is overfull, after :func:`_lex_min_over_ties` has written
+    the lexicographically smallest optimum into ``assign`` (``excess`` is
+    then left as it was); else the mask of clusters reachable from an
     overfull one, none of which is underfull.  Only the ``multi`` nodes,
     those with two or more tight arcs, can move.
     """
@@ -228,11 +235,14 @@ def _route(assign, excess, tight, multi):
     ex = excess.tolist()
     while True:
         sources = [k for k, x in enumerate(ex) if x > 0]
+        if not sources:  # balanced: ``tight`` is final, break the ties
+            assign[multi] = _lex_min_over_ties(arcs, home, count)
+            return None
         path, reached = _search(count, sources, [x < 0 for x in ex])
         if path is None:
             assign[multi] = home
             excess[:] = ex
-            return np.array(reached) if sources else None
+            return np.array(reached)
         b, target = path[-1][0], path[0][1]
         batch = min(ex[b], -ex[target], *(count[a][c] for a, c in path))
         # the target end first, so no node entering a cluster moves on
@@ -288,21 +298,24 @@ def _search(count, sources, target):
     return None, [p != -2 for p in parent]
 
 
-def _lex_min_over_ties(tight, assign):
+def _lex_min_over_ties(arcs, home, count):
     """Lexicographically smallest optimum over the tight-arc support.
 
-    ``tight`` is the final (K, n) tight mask of :func:`_transport` and
-    ``assign`` its optimal assignment.  Every optimal assignment is
-    feasible and supported on tight arcs, and conversely.  A node with a
-    single tight arc keeps its cluster in every optimum, so only the tied
-    nodes, with two or more, take part; without any, ``assign`` is the
-    (int64) result.
+    Called by the last routing pass of :func:`_transport`, whose state it
+    takes over: ``arcs`` is the final (K, m) tight mask of the m tied
+    nodes, those with two or more tight arcs, in node order, ``home`` their
+    clusters in an optimal assignment and ``count`` its arc counts as in
+    :func:`_route`, which it uses up.  Returns the tied nodes' clusters in
+    the lex-min optimum, as a list.  Every optimal assignment is feasible
+    and supported on tight arcs, and conversely.  A node with a single
+    tight arc keeps its cluster in every optimum, so only the tied nodes
+    take part.
 
     Tied nodes with the same tight clusters, the same type, are
     interchangeable, so the state is counts: ``held[t][c]`` is the number
     of unfinalized nodes of type t in cluster c in some completion of the
-    choices made so far, and ``count`` holds their arc counts as in
-    :func:`_route`.  A greedy pass finalizes the tied nodes in node order.
+    choices made so far, with ``count`` their arc counts.  A greedy pass
+    finalizes the tied nodes in node order.
     A node of type t takes the lowest of its clusters k from which a path
     of nonzero arcs leads to a cluster holding type t, an empty path if k
     holds it: one count of some type moves along each arc and one of type
@@ -310,14 +323,7 @@ def _lex_min_over_ties(tight, assign):
     no completion puts the node in k.  The optimum is unique, so the types
     moved do not change the result.
     """
-    K = tight.shape[0]
-    n_opts = tight.sum(axis=0, dtype=np.int32)
-    tied = np.flatnonzero(n_opts > 1)
-    if not tied.size:
-        return np.asarray(assign, dtype=np.int64)  # unique support: nothing to break
-    arcs = tight[:, tied]
-    home = assign[tied]
-    count = _arc_counts(arcs, home)
+    K = arcs.shape[0]
     types = {}  # a node's column of tight arcs -> its type
     options, held, of_node = [], [], []
     for c, col in zip(home.tolist(), arcs.T.tolist()):
@@ -349,6 +355,4 @@ def _lex_min_over_ties(tight, assign):
         for c in opt:
             count[end][c] -= 1
         taken.append(k)
-    labels = np.array(assign, dtype=np.int64)
-    labels[tied] = taken
-    return labels
+    return taken

@@ -63,6 +63,14 @@ class SolveReport:
     converged_by_fixed_point: bool
 
 
+def check_max_iters(max_iters):
+    """``max_iters`` as an int, which must be whole and nonnegative; None
+    (the default budget) passes through."""
+    if max_iters is not None and (max_iters := as_whole(max_iters, "max_iters")) < 0:
+        raise ValueError("max_iters must be nonnegative")
+    return max_iters
+
+
 def theoretical_iteration_budget(n: int) -> int:
     """Iteration cap ceil(2 ln ln n) + ceil(2 ln n / ln ln n) + 2 (natural logs)."""
     n = as_whole(n, "node count")
@@ -111,11 +119,8 @@ def ptpm(
     if not np.array_equal(dummy, np.arange(n_real, g.n)):
         raise ValueError(f"dummy ids must be the trailing block of node ids, {n_real}..{g.n - 1}")
     check_divides(n_real, K)
-    if max_iters is None:
+    if (max_iters := check_max_iters(max_iters)) is None:
         max_iters = theoretical_iteration_budget(n_real)
-    max_iters = as_whole(max_iters, "max_iters")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
     if truth is not None and truth.n not in (g.n, n_real):
         raise ValueError("truth must cover all nodes or the real nodes only")
 

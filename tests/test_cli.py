@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hyperclust import experiments
 from hyperclust.cli import build_parser, load_config, main
 from hyperclust.core import read_assignment, read_hypergraph
 from hyperclust.experiments import (
@@ -197,6 +198,15 @@ def test_uci_without_a_restart_exits_cleanly(tmp_path, capsys):
     assert "error: restarts must be at least 1" in capsys.readouterr().err
 
 
+def test_converge_without_a_restart_exits_cleanly(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--n", "20", "--k", "2", "--alpha", "45", "--beta", "2",
+                 "--restarts", "0", "--out", str(out)])
+    assert code == 2
+    assert "error: restarts must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 12\nd = 2\nk = 2\np = 1.0\nq = 0.0\n# comment\n")
@@ -360,6 +370,23 @@ def test_a_malformed_corrupt_strategy_names_its_form(tmp_path, capsys):
         make_initializer("corrupt:x")
     assert main(PHASE + ["--init", "corrupt:x", "--out", str(tmp_path / "phase.csv")]) == 2
     assert "corrupt:<swaps>" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (["--init", "corrupt:-4"], "error: init strategy 'corrupt:-4': the swap count must be nonnegative"),
+        (["--max-iters", "-3"], "error: max_iters must be nonnegative"),
+    ],
+)
+def test_bad_solver_options_fail_before_any_trial(flag, message, tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_phase_task", no_trial)
+    assert main(PHASE + flag + ["--out", str(tmp_path / "phase.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "phase.csv").exists()
 
 
 def test_malformed_numbers_in_input_files_name_their_line(tmp_path, capsys):

@@ -148,8 +148,12 @@ def _count_cases():
         "GridConfig n": (lambda: GridConfig(12.5, 3, 2, (1.0,), (1.0,)), "node count must be a whole"),
         "GridConfig trials": (lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), trials=1.5), "trials must be a whole"),
         "GridConfig threads": (lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), threads=1.5), "threads must be a whole"),
+        "GridConfig max_iters": (
+            lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), max_iters=1.5), "max_iters must be a whole"),
         "convergence_trace restarts": (
             lambda: convergence_trace(12, 3, 2, 1.0, 1.0, restarts=1.5), "restarts must be a whole"),
+        "convergence_trace no restart": (
+            lambda: convergence_trace(12, 3, 2, 1.0, 1.0, restarts=0), "restarts must be at least 1"),
         "spectral_init K": (lambda: spectral_init(g, 2.5, 0), "cluster count must be a whole"),
         "random_init n": (lambda: random_init(12.5, 2, 0), "node count must be a whole"),
         "random_init K": (lambda: random_init(12, 2.5, 0), "cluster count must be a whole"),

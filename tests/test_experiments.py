@@ -91,6 +91,28 @@ def test_grid_config_needs_at_least_one_thread(threads):
         GridConfig(12, 3, 2, (5.0,), (1.0,), threads=threads)
 
 
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        ({"init": "corrupt:-4"}, r"init strategy 'corrupt:-4': the swap count must be nonnegative"),
+        ({"max_iters": -3}, "max_iters must be nonnegative"),
+        ({"max_iters": math.inf}, "max_iters must be a whole number"),
+    ],
+    ids=["negative-swaps", "negative-max-iters", "infinite-max-iters"],
+)
+def test_grid_config_rejects_bad_solver_options_up_front(option, message):
+    # the same messages as make_initializer and ptpm, before any sampling
+    with pytest.raises(ValueError, match=message):
+        GridConfig(12, 3, 2, (5.0,), (1.0,), **option)
+
+
+def test_grid_config_takes_max_iters_as_a_whole_number_or_none():
+    assert GridConfig(12, 3, 2, (5.0,), (1.0,)).max_iters is None
+    for given in (0, 4, 4.0, np.int64(4)):
+        cfg = GridConfig(12, 3, 2, (5.0,), (1.0,), max_iters=given)
+        assert cfg.max_iters == given and type(cfg.max_iters) is int
+
+
 def test_result_row_consistency_guard():
     with pytest.raises(ValueError):
         ResultRow(1.0, 1.0, 0, 0, True, 3, 0.25, 1.0)

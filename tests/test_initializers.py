@@ -237,6 +237,8 @@ def test_corrupt_validation():
     truth = block_truth(6, 2)
     with pytest.raises(ValueError):
         corrupt(truth, 4, 0)  # 2 * swaps > n
+    with pytest.raises(ValueError, match="swaps must be nonnegative, got -1"):
+        corrupt(truth, -1, 0)
     with pytest.raises(ValueError):
         corrupt(Assignment(np.array([0, 0, 0, 1]), 2), 1, 0)  # unbalanced
 

@@ -9,6 +9,7 @@ from hyperclust import projection
 from hyperclust.core import Assignment
 from hyperclust.projection import (
     _FLOAT_TIE_TOL,
+    _arc_counts,
     _lex_min_over_ties,
     _transport,
     project_balanced,
@@ -226,12 +227,13 @@ def _oracle_shapes(rng):
 
 
 def test_lex_min_over_ties_returns_int64_labels_on_both_branches():
-    # one tight arc per node: nothing to break, the assignment comes back
-    out = _lex_min_over_ties(np.eye(2, dtype=bool), np.array([0, 1], dtype=np.int32))
+    # one tight arc per node: nothing to break, the argmax start comes back
+    out, _, _ = _transport(-np.eye(2, dtype=np.int64), 1, 0)
     assert isinstance(out, np.ndarray) and out.dtype == np.int64
     assert out.tolist() == [0, 1]
-    # every arc tight: the greedy pass reads off the lex-min optimum
-    out = _lex_min_over_ties(np.ones((2, 2), dtype=bool), np.array([1, 0]))
+    # every arc tight: routing moves node 0 to cluster 1, and the tie-break
+    # reads off the lex-min optimum
+    out, _, _ = _transport(np.zeros((2, 2), dtype=np.int64), 1, 0)
     assert isinstance(out, np.ndarray) and out.dtype == np.int64
     assert out.tolist() == [0, 1]
 
@@ -420,7 +422,7 @@ def oracle_projection(C):
     v = np.array(v, dtype=cost.dtype)
     u = cost[np.arange(n), assign] - v[assign]
     tight = (cost - u[:, None] - v[None, :] <= tol).T
-    return np.asarray(_lex_min_over_ties(tight, assign)).tolist()
+    return greedy_lex_min_over_ties(tight, assign).tolist()
 
 
 def check_against_oracle(C):
@@ -490,27 +492,42 @@ def _tie_heavy_matrices(rng, n, K):
     return C, C + rng.uniform(-1e-15, 1e-15, size=(n, K))
 
 
+def lex_min_from_scratch(tight, assign):
+    """``_lex_min_over_ties`` on the state that a routing pass would hand
+    it, built from a (K, n) tight mask and a balanced assignment on it."""
+    tied = np.flatnonzero(tight.sum(axis=0) > 1)
+    labels = np.array(assign, dtype=np.int64)
+    arcs, home = tight[:, tied], labels[tied]
+    labels[tied] = _lex_min_over_ties(arcs, home, _arc_counts(arcs, home))
+    return labels
+
+
 def test_lex_min_over_ties_matches_the_greedy_oracle():
     rng = np.random.default_rng(2500)
-    tied = 0
+    tied = routed_with_ties = 0
     for _ in range(100):
         K = int(rng.integers(2, 9))
         n = K * int(rng.integers(1, 500 // K + 1))
-        cases = []
         for C in _tie_heavy_matrices(rng, n, K):
             cost, tol = _solver_inputs(C)
-            assign, _, tight = _transport(np.ascontiguousarray(cost.T), n // K, tol)
-            cases.append((tight, assign))
+            labels, _, tight = _transport(np.ascontiguousarray(cost.T), n // K, tol)
+            # the tie-break ran on the routing's own state: the labels are
+            # the greedy's fixed point, the lex-min optimum on their arcs
+            ties = int((tight.sum(axis=0) > 1).sum())
+            tied += ties
+            # an overfull start, each node at its lowest tight cluster, is routed
+            start = np.argmax(cost <= cost.min(axis=1, keepdims=True) + tol, axis=1)
+            routed_with_ties += int(np.bincount(start, minlength=K).max() > n // K and ties > 0)
+            assert labels.tolist() == greedy_lex_min_over_ties(tight, labels).tolist()
         # and an arbitrary mask around a balanced assignment: any mix of types
         lab = rng.permutation(np.repeat(np.arange(K), n // K))
         mask = rng.random((K, n)) < rng.uniform(0.1, 0.9)
         mask[lab, np.arange(n)] = True
-        cases.append((mask, lab))
-        for tight, assign in cases:
-            tied += int((tight.sum(axis=0) > 1).sum())
-            want = greedy_lex_min_over_ties(tight, assign).tolist()
-            assert _lex_min_over_ties(tight, assign).tolist() == want
+        tied += int((mask.sum(axis=0) > 1).sum())
+        want = greedy_lex_min_over_ties(mask, lab).tolist()
+        assert lex_min_from_scratch(mask, lab).tolist() == want
     assert tied > 20000
+    assert routed_with_ties > 180
 
 
 def test_five_clusters_match_brute_force():
