@@ -106,10 +106,16 @@ class Hypergraph:
                 raise ValueError("node id out of range")
             if not np.all(np.diff(e, axis=1) > 0):
                 raise ValueError("hyperedge members must be distinct and increasing")
-        order = np.lexsort(e.T[::-1])
+        index = np.lexsort(e.T[::-1])
+        e = e if e.flags.f_contiguous else np.ascontiguousarray(e)  # copies only a strided input
+        row, col = (stride // e.itemsize for stride in e.strides)
+        index *= row  # flat position of each sorted edge's first member
         members = np.empty((d, e.shape[0]), dtype=np.int64)
-        for j in range(d):  # sorted straight into place: no (E, d) sorted copy
-            np.take(e[:, j], order, out=members[j], mode="clip")
+        flat = e.ravel(order="K")  # a view: C- and F-ordered input alike
+        for j in range(d):  # sorted straight into place: no copy of a column
+            np.take(flat, index, out=members[j], mode="clip")
+            index += col
+        del index  # freed before the duplicate check's temporaries
         if np.any(np.all(members[:, 1:] == members[:, :-1], axis=0)):
             raise ValueError("duplicate hyperedges")
         members.flags.writeable = False
@@ -137,10 +143,9 @@ class Hypergraph:
 class Assignment:
     """Labeling of ``n`` nodes into ``K`` clusters.
 
-    ``labels[i]`` is the 0-based cluster of node ``i``.  Setting ``balanced``
-    asserts that every cluster holds exactly ``n/K`` nodes (verified at
-    construction); such assignments correspond to row-one-hot matrices with
-    equal column sums.
+    ``labels[i]`` is the 0-based cluster of node ``i``.  ``balanced`` is
+    worked out from the labels: every cluster holds ``n/K`` nodes, so the
+    one-hot matrix has equal column sums.  ``balanced=True`` requires it.
     """
 
     labels: np.ndarray
@@ -156,15 +161,15 @@ class Assignment:
             raise ValueError(f"labels must be a non-empty 1-d array, not of shape {lab.shape}")
         if lab.min() < 0 or lab.max() >= K:
             raise ValueError("label out of range")
-        if self.balanced:
+        balanced = lab.size % K == 0 and bool(np.all(np.bincount(lab, minlength=K) == lab.size // K))
+        if self.balanced and not balanced:
             check_divides(lab.size, K)
-            if not np.all(np.bincount(lab, minlength=K) == lab.size // K):
-                raise ValueError("balanced flag set but cluster sizes differ")
+            raise ValueError("balanced flag set but cluster sizes differ")
         lab = lab.copy()
         lab.flags.writeable = False
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "balanced", bool(self.balanced))
+        object.__setattr__(self, "balanced", balanced)
 
     @property
     def n(self) -> int:
@@ -172,12 +177,6 @@ class Assignment:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.K)
-
-    @property
-    def is_balanced(self) -> bool:
-        return self.n % self.K == 0 and bool(
-            np.all(self.counts() == self.n // self.K)
-        )
 
     def one_hot(self) -> np.ndarray:
         H = np.zeros((self.n, self.K), dtype=np.int64)
@@ -189,7 +188,7 @@ class Assignment:
         perm = as_int64(perm, "perm")
         if perm.shape != (self.K,) or sorted(perm.tolist()) != list(range(self.K)):
             raise ValueError("perm must be a permutation of 0..K-1")
-        return Assignment(perm[self.labels], self.K, balanced=self.balanced)
+        return Assignment(perm[self.labels], self.K)
 
 
 def _edge_labels(g: Hypergraph, h: Assignment) -> np.ndarray:
@@ -253,6 +252,15 @@ def objective(g: Hypergraph, h: Assignment) -> int:
 # --- text formats (1-based on disk, 0-based in memory) ---
 
 
+def _data_lines(path):
+    """``(line number, stripped text)`` of each line of the text file ``path``
+    that is neither blank nor a ``#`` comment."""
+    with open(path) as f:
+        for lineno, raw in enumerate(f, 1):
+            if (line := raw.strip()) and not line.startswith("#"):
+                yield lineno, line
+
+
 def _ints(path, lineno, tokens) -> list[int]:
     """The tokens of one input line as ints; a malformed token names its line."""
     try:
@@ -273,27 +281,25 @@ def read_hypergraph(path) -> Hypergraph:
     as d space-separated ascending 1-based node ids; ``#`` lines ignored."""
     header = None
     rows = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: header must be 'n d'")
-                header = tuple(_ints(path, lineno, parts))
-                continue
-            n, d = header
-            if len(parts) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} node ids")
-            ids = _ints(path, lineno, parts)
-            if any(x < 1 or x > n for x in ids):
-                raise ValueError(f"{path}:{lineno}: node id out of range 1..{n}")
-            rows.append(tuple(x - 1 for x in ids))
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: header must be 'n d'")
+            header = tuple(_ints(path, lineno, parts))
+            continue
+        n, d = header
+        if len(parts) != d:
+            raise ValueError(f"{path}:{lineno}: expected {d} node ids")
+        ids = _ints(path, lineno, parts)
+        if any(x < 1 or x > n for x in ids):
+            raise ValueError(f"{path}:{lineno}: node id out of range 1..{n}")
+        rows.append(ids)
     if header is None:
         raise ValueError(f"{path}: missing header line")
-    return Hypergraph.from_edge_list(header[0], header[1], rows)
+    edges = np.array(rows, dtype=np.int64) - 1
+    edges.sort(axis=-1)  # the last axis: with no edge lines the array is 1-d
+    return Hypergraph(*header, edges)
 
 
 def write_assignment(a: Assignment, path):
@@ -305,20 +311,11 @@ def write_assignment(a: Assignment, path):
 def read_assignment(path, K: int | None = None) -> Assignment:
     """Parse the label format: line i holds the 1-based label of node i."""
     labels = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            (value,) = _ints(path, lineno, [line])
-            if value < 1:
-                raise ValueError(f"{path}:{lineno}: labels are 1-based")
-            labels.append(value - 1)
+    for lineno, line in _data_lines(path):
+        (value,) = _ints(path, lineno, [line])
+        if value < 1:
+            raise ValueError(f"{path}:{lineno}: labels are 1-based")
+        labels.append(value - 1)
     if not labels:
         raise ValueError(f"{path}: no labels found")
-    arr = np.array(labels, dtype=np.int64)
-    k = int(arr.max()) + 1 if K is None else K
-    a = Assignment(arr, k)
-    if a.is_balanced:
-        a = Assignment(arr, k, balanced=True)
-    return a
+    return Assignment(labels, max(labels) + 1 if K is None else K)

@@ -119,7 +119,7 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     is exactly 2 * sqrt(swaps) while balance is preserved.  Pairs are drawn
     uniformly among the choices that keep the remaining exchanges feasible.
     """
-    if not ground_truth.is_balanced:
+    if not ground_truth.balanced:
         raise ValueError("ground truth must be balanced")
     n, K = ground_truth.n, ground_truth.K
     swaps = as_whole(swaps, "swaps")

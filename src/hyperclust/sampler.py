@@ -126,7 +126,7 @@ def sample(params: ModelParams, ground_truth: Assignment, seed: int) -> Hypergra
     n, d, K = params.n, params.d, params.K
     if ground_truth.n != n or ground_truth.K != K:
         raise ValueError("ground truth shape does not match parameters")
-    if not ground_truth.is_balanced:
+    if not ground_truth.balanced:
         raise ValueError("ground truth must be balanced")
     same_pool, cross_pool = pool_sizes(n, d, K)
     rng = seeded_rng(seed)

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperclust import experiments
+from hyperclust import cli, experiments
 from hyperclust.cli import build_parser, load_config, main
-from hyperclust.core import read_assignment, read_hypergraph
+from hyperclust.core import objective, read_assignment, read_hypergraph
 from hyperclust.experiments import (
     GridConfig,
     make_initializer,
@@ -16,7 +16,7 @@ from hyperclust.experiments import (
     phase_transition,
     planted_instance,
 )
-from hyperclust.metrics import misclassification_rate
+from hyperclust.metrics import align_and_distance, misclassification_rate
 from hyperclust.sampler import LogRegimeParams, to_probabilities
 from hyperclust.solver import ptpm
 
@@ -54,7 +54,7 @@ def test_sample_solve_score_pipeline(tmp_path, capsys):
     )
     assert "iterations=" in out and "distance=" in out
     pred = read_assignment(pred_path)
-    assert pred.is_balanced
+    assert pred.balanced
     with open(trace_path) as f:
         rows = list(csv.DictReader(f))
     assert rows[0]["iteration"] == "0"
@@ -63,6 +63,25 @@ def test_sample_solve_score_pipeline(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "distance,misclassification,exact"
     assert len(lines[1].split(",")) == 3
+
+
+@pytest.mark.parametrize("options", [[], ["--max-iters", "0"], ["--no-early-stop", "--max-iters", "3"]],
+                         ids=["default", "no-step", "no-early-stop"])
+def test_solve_prints_what_the_solver_measured(options, tmp_path, capsys, monkeypatch):
+    g_path, t_path, pred_path = (str(tmp_path / name) for name in ("g.txt", "t.txt", "pred.txt"))
+    run(capsys, "sample", "--n", "30", "--k", "2", "--alpha", "45", "--beta", "2", "--seed", "3",
+        "--out", g_path, "--truth-out", t_path)
+
+    def recount(*args):
+        raise AssertionError("solve recounted a result the solver reported")
+
+    monkeypatch.setattr(cli, "objective", recount, raising=False)
+    monkeypatch.setattr(cli, "align_and_distance", recount)
+    out = run(capsys, "solve", "--graph", g_path, "--k", "2", "--truth", t_path, "--out", pred_path, *options)
+    g, pred, truth = read_hypergraph(g_path), read_assignment(pred_path, 2), read_assignment(t_path, 2)
+    _, dist = align_and_distance(pred, truth)
+    tail = f" objective={objective(g, pred)} distance={dist!r} misclassification={misclassification_rate(pred, truth)!r}\n"
+    assert out.startswith("iterations=") and out.endswith(tail)
 
 
 def test_sample_with_raw_probabilities(tmp_path, capsys):

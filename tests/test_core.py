@@ -105,8 +105,48 @@ def test_assignment_validation():
     with pytest.raises(ValueError):
         Assignment(np.array([0, 0, 1]), 2, balanced=True)
     a = Assignment(np.array([0, 1, 1, 0]), 2, balanced=True)
-    assert a.is_balanced and a.n == 4
+    assert a.balanced and a.n == 4
     assert a.one_hot().tolist() == [[1, 0], [0, 1], [0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "labels,K,balanced",
+    [([0, 1, 1, 0], 2, True), ([0, 1, 1, 0, 2, 2], 3, True), ([0, 0, 1, 0], 2, False),
+     ([0, 1, 1], 2, False), ([0, 1], 3, False), ([0, 0, 0], 1, True)],
+    ids=["balanced", "balanced-K3", "unbalanced", "K-does-not-divide-n", "K-above-n", "K1"],
+)
+def test_balanced_is_worked_out_from_the_labels(labels, K, balanced):
+    a = Assignment(labels, K)
+    assert a.balanced is balanced
+    assert a.relabel(np.arange(K)[::-1]).balanced is balanced
+    if balanced:
+        assert Assignment(labels, K, balanced=True).balanced
+    elif len(labels) % K:
+        with pytest.raises(ValueError, match=f"K={K} must divide n={len(labels)}, both positive"):
+            Assignment(labels, K, balanced=True)
+    else:
+        with pytest.raises(ValueError, match="balanced flag set but cluster sizes differ"):
+            Assignment(labels, K, balanced=True)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_construction_gathers_each_member_row_without_copying_a_column(layout):
+    # the sort order is the one E-length temporary: np.take of a strided
+    # column would copy it first
+    rng = np.random.default_rng(24)
+    n, d = 2000, 3
+    rows = np.sort(rng.integers(0, n, size=(60_000, d)), axis=1)
+    edges = np.unique(rows[np.all(np.diff(rows, axis=1) > 0, axis=1)], axis=0)
+    edges = np.asarray(edges[rng.permutation(len(edges))], order=layout)
+    E = len(edges)
+    tracemalloc.start()
+    try:
+        g = Hypergraph(n, d, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.edges, np.unique(edges, axis=0))
+    assert peak <= g.members.nbytes + 12 * E
 
 
 @pytest.mark.parametrize("bad", [5.7, np.float64(2.5), np.nan, np.inf, -np.inf])
@@ -499,6 +539,15 @@ def test_hypergraph_read_ignores_comments(tmp_path):
     assert edge_set(g) == {(0, 1), (2, 3)}
 
 
+def test_hypergraph_read_sorts_each_line_and_takes_a_file_of_no_edges(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("5 3\n5 1 3\n2 4 1\n")
+    assert read_hypergraph(path).edges.tolist() == [[0, 1, 3], [0, 2, 4]]
+    path.write_text("# no edges\n5 3\n")
+    g = read_hypergraph(path)
+    assert (g.n, g.d, g.num_edges) == (5, 3, 0) and g.members.shape == (3, 0)
+
+
 def test_assignment_roundtrip(tmp_path):
     a = Assignment(np.array([0, 1, 1, 0]), 2, balanced=True)
     path = tmp_path / "a.txt"
@@ -506,7 +555,7 @@ def test_assignment_roundtrip(tmp_path):
     assert path.read_text() == "1\n2\n2\n1\n"
     back = read_assignment(path)
     assert back.labels.tolist() == a.labels.tolist()
-    assert back.is_balanced
+    assert back.balanced
 
 
 def test_read_errors(tmp_path):

@@ -203,7 +203,7 @@ def test_spectral_init_balances_edge_cases():
     for g, K in edge_graphs():
         for seed in range(3):
             h = spectral_init(g, K, seed)
-            assert h.n == g.n and h.K == K and h.is_balanced
+            assert h.n == g.n and h.K == K and h.balanced
 
 
 def random_graphs():
@@ -441,7 +441,7 @@ def test_spectral_init_holds_no_dense_matrix_at_the_benchmark_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert h.is_balanced
+    assert h.balanced
     assert peak < g.n * g.n * 8 / 4
 
 
@@ -449,7 +449,7 @@ def test_capped_path_contract():
     g = near_tie()
     with pytest.warns(UserWarning, match="iteration cap"):
         h = spectral_init(g, 2, 0, strict=False)
-    assert h.is_balanced
+    assert h.balanced
     with pytest.raises(EigensolverError) as err:
         spectral_init(g, 2, 0, strict=True)
     assert err.value.iterations == 1000  # the default cap

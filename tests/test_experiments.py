@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperclust import experiments
 from hyperclust.experiments import (
     TIMING_COLUMNS,
     GridConfig,
@@ -113,6 +114,30 @@ def test_grid_config_takes_max_iters_as_a_whole_number_or_none():
         assert cfg.max_iters == given and type(cfg.max_iters) is int
 
 
+@pytest.mark.parametrize(
+    "function,args,options,message",
+    [
+        (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 0}, "restarts must be at least 1"),
+        (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 1.5}, "restarts must be a whole number"),
+        (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 1, "max_iters": -3}, "max_iters must be nonnegative"),
+        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": -1}, "max_iters must be nonnegative"),
+        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": 2.5}, "max_iters must be a whole number"),
+        (uci_votes_pipeline, ("votes.data",), {"restarts": 0}, "restarts must be at least 1"),
+        (uci_votes_pipeline, ("votes.data",), {"max_iters": -3}, "max_iters must be nonnegative"),
+    ],
+    ids=["converge-restarts", "converge-fractional-restarts", "converge-max-iters", "bench-iters",
+         "bench-fractional-iters", "uci-restarts", "uci-max-iters"],
+)
+def test_experiments_check_their_options_before_any_work(function, args, options, message, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the options were checked")
+
+    monkeypatch.setattr(experiments, "sample", no_work)
+    monkeypatch.setattr(experiments, "load_votes", no_work)
+    with pytest.raises(ValueError, match=message):
+        function(*args, **options)
+
+
 def test_result_row_consistency_guard():
     with pytest.raises(ValueError):
         ResultRow(1.0, 1.0, 0, 0, True, 3, 0.25, 1.0)
@@ -123,8 +148,8 @@ def test_make_initializer_strategies():
     from hyperclust.core import Hypergraph
 
     g = Hypergraph(8, 3, np.empty((0, 3), dtype=np.int64))
-    assert make_initializer("random")(g, 2, truth, 0).is_balanced
-    assert make_initializer("corrupt:1")(g, 2, truth, 0).is_balanced
+    assert make_initializer("random")(g, 2, truth, 0).balanced
+    assert make_initializer("corrupt:1")(g, 2, truth, 0).balanced
     with pytest.raises(ValueError):
         make_initializer("corrupt:1")(g, 2, None, 0)
 

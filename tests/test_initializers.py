@@ -31,7 +31,7 @@ def test_random_init_balanced_and_deterministic():
     a = random_init(12, 3, 42)
     b = random_init(12, 3, 42)
     c = random_init(12, 3, 43)
-    assert a.is_balanced
+    assert a.balanced
     assert a.labels.tolist() == b.labels.tolist()
     assert a.labels.tolist() != c.labels.tolist()
     with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ def test_random_init_solves_no_projection(monkeypatch):
         raise AssertionError("project_balanced called by random_init")
 
     monkeypatch.setattr(initializers, "project_balanced", refuse)
-    assert random_init(12, 3, 42).is_balanced
+    assert random_init(12, 3, 42).balanced
 
 
 # --- similarity matrix / spectral ---
@@ -100,7 +100,7 @@ def test_spectral_recovers_disjoint_clique_blocks():
     edges = [c for k in range(K) for c in itertools.combinations(range(6 * k, 6 * k + 6), 3)]
     g = Hypergraph.from_edge_list(n, 3, edges)
     h = spectral_init(g, K, 0)
-    assert h.is_balanced
+    assert h.balanced
     assert misclassification_rate(h, truth) == 0.0
 
 
@@ -121,7 +121,7 @@ def test_spectral_partial_recovery_on_sampled_instances():
 def test_spectral_handles_empty_graph():
     g = Hypergraph(6, 3, np.empty((0, 3), dtype=np.int64))
     h = spectral_init(g, 2, 1)
-    assert h.is_balanced
+    assert h.balanced
 
 
 def test_eigensolver_nonconvergence_diagnostics():
@@ -205,7 +205,7 @@ def test_corrupt_zero_swaps_is_identity():
 def test_corrupt_single_swap_distance_two():
     truth = block_truth(8, 2)
     h = corrupt(truth, 1, 5)
-    assert h.is_balanced
+    assert h.balanced
     assert unaligned_distance(h, truth) == pytest.approx(2.0)
 
 
@@ -218,7 +218,7 @@ def test_corrupt_distance_identity():
         swaps = int(rng.integers(0, n // 2 + 1))
         truth = block_truth(n, K)
         h = corrupt(truth, swaps, int(rng.integers(1 << 30)))
-        assert h.is_balanced
+        assert h.balanced
         assert unaligned_distance(h, truth) == pytest.approx(2.0 * math.sqrt(swaps))
 
 
@@ -253,7 +253,7 @@ def test_corrupt_rejects_fractional_swaps():
 def test_corrupt_max_swaps_k2():
     truth = block_truth(8, 2)
     h = corrupt(truth, 4, 11)
-    assert h.is_balanced
+    assert h.balanced
     assert unaligned_distance(h, truth) == pytest.approx(4.0)
 
 

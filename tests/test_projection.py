@@ -121,7 +121,7 @@ def test_gaussian_matrices_match_oracle(K):
         C = rng.standard_normal((n, K))
         fast = project_balanced(C)
         slow = brute_force_projection(C)
-        assert fast.is_balanced
+        assert fast.balanced
         fv, sv = selected_sum(C, fast.labels), selected_sum(C, slow.labels)
         assert abs(fv - sv) <= 1e-12
         # Gaussian entries: optimum is unique with probability one
@@ -146,7 +146,7 @@ def test_larger_instances_stay_feasible_and_dominant():
     for n, K in [(60, 2), (60, 3), (64, 4), (120, 8)]:
         C = rng.standard_normal((n, K)) * 10
         out = project_balanced(C)
-        assert out.is_balanced
+        assert out.balanced
         # no single exchange of two rows can improve (necessary condition)
         lab = out.labels
         gain = C[np.arange(n)[:, None], np.arange(K)[None, :]] - C[np.arange(n), lab][:, None]

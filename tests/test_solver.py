@@ -61,7 +61,7 @@ def test_unbalanced_start_is_projected_first():
     g = Hypergraph(4, 3, np.empty((0, 3), dtype=np.int64))
     h0 = Assignment(np.array([0, 0, 0, 1]), 2)
     report = ptpm(g, h0, 0)
-    assert report.final.is_balanced
+    assert report.final.balanced
 
 
 def test_truth_start_is_a_fixed_point():
@@ -112,7 +112,7 @@ def test_trajectory_is_balanced_and_verbatim():
         assert rec.objective % math.factorial(3) == 0
         assert rec.distance is not None and rec.distance >= 0
     assert objective(g, report.final) == report.trajectory[-1].objective
-    assert report.final.is_balanced
+    assert report.final.balanced
 
 
 def test_early_stop_off_runs_full_budget():
@@ -197,7 +197,7 @@ def test_dummy_nodes_excluded_from_balance():
     h0 = Assignment(np.concatenate([corrupt(truth, 4, 3).labels, [0]]), K)
     report = ptpm(g, h0, 10, dummy_ids=dummies, truth=truth)
     real_final = Assignment(report.final.labels[:n], K)
-    assert real_final.is_balanced
+    assert real_final.balanced
     assert exact_recovery(real_final, truth)
     assert report.trajectory[-1].distance == 0.0
 
@@ -278,7 +278,7 @@ def test_padded_trajectories_are_pinned(K, d0, seed):
     assert len(dummies) == d0 - 2
     start = np.concatenate([random_init(n, K, seed=3).labels, np.zeros(len(dummies), dtype=np.int64)])
     report = ptpm(g, Assignment(start, K), truth=truth, dummy_ids=dummies)
-    assert not report.final.balanced and Assignment(report.final.labels[:n], K).is_balanced
+    assert not report.final.balanced and Assignment(report.final.labels[:n], K).balanced
     records = [[r.iteration, r.objective, r.distance] for r in report.trajectory]
     blob = json.dumps([report.final.labels.tolist(), records])
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PADDED_DIGESTS[K, d0, seed]
