@@ -57,14 +57,20 @@ def as_int64(values, what: str) -> np.ndarray:
     return whole
 
 
-def as_whole(value, what: str) -> int:
-    """``value`` as an int; it must be a whole number: K=2.6 is an error, not 2."""
+def as_whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; it must be a whole number (K=2.6 is an error, not
+    2) and, given ``least``, at least that: the one check of every count's
+    floor.  The error names ``what``, and the floor 0 reads "nonnegative"."""
     try:
-        if (whole := int(value)) == value:  # a scalar compare: no array round trip
-            return whole
+        whole = int(value)
     except (OverflowError, ValueError):  # inf, NaN
-        pass
-    raise ValueError(f"{what} must be a whole number, got {value!r}")
+        whole = None
+    if whole != value:  # a scalar compare: no array round trip
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and whole < least:
+        floor = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {floor}, got {whole}")
+    return whole
 
 
 def check_covers(g: Hypergraph, h: Assignment) -> None:
@@ -91,11 +97,7 @@ class Hypergraph:
     members: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, d = as_whole(self.n, "node count"), as_whole(self.d, "hyperedge order")
-        if n < 1:
-            raise ValueError("node count must be a positive integer")
-        if d < 2:
-            raise ValueError("hyperedge order must be an integer >= 2")
+        n, d = as_whole(self.n, "node count", 1), as_whole(self.d, "hyperedge order", 2)
         e = as_int64(self.edges, "node ids")
         if e.size == 0:
             e = np.empty((0, d), dtype=np.int64)
@@ -153,9 +155,7 @@ class Assignment:
     balanced: bool = False
 
     def __post_init__(self):
-        K = as_whole(self.K, "cluster count")
-        if K < 1:
-            raise ValueError("cluster count must be positive")
+        K = as_whole(self.K, "cluster count", 1)
         lab = as_int64(self.labels, "labels")
         if lab.ndim != 1 or lab.size == 0:
             raise ValueError(f"labels must be a non-empty 1-d array, not of shape {lab.shape}")

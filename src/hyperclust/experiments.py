@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import _MASK64, Assignment, Hypergraph, _data_lines, as_whole, check_divides, objective, seeded_rng
-from .initializers import corrupt, random_init, spectral_init
+from .initializers import _check_swaps, corrupt, random_init, spectral_init
 from .metrics import misclassification_rate
 from .sampler import LogRegimeParams, sample, to_probabilities
 from .solver import check_max_iters, ptpm
@@ -66,10 +66,22 @@ def block_truth(n: int, K: int) -> Assignment:
     return Assignment(np.repeat(np.arange(K), n // K), K, balanced=True)
 
 
+def _corrupt_swaps(strategy: str) -> int | None:
+    """The swap count of a ``corrupt:<swaps>`` strategy, None for any other."""
+    if not strategy.startswith("corrupt:"):
+        return None
+    try:
+        return int(strategy.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"init strategy {strategy!r}: use corrupt:<swaps>, a whole swap count") from None
+
+
 def make_initializer(strategy: str):
     """Parse an init strategy name into f(g, K, truth, seed) -> Assignment.
 
-    Accepted: ``random``, ``spectral``, ``corrupt:<swaps>``.
+    Accepted: ``random``, ``spectral``, ``corrupt:<swaps>``.  The swap count
+    is checked against the node count by ``corrupt`` when a start is drawn,
+    and by ``GridConfig`` when a grid is built.
     """
     if strategy == "random":
         return lambda g, K, truth, seed: random_init(g.n, K, seed)
@@ -78,13 +90,7 @@ def make_initializer(strategy: str):
         # ties the next, where the eigensolver hits its product cap; the
         # capped basis is accepted there
         return lambda g, K, truth, seed: spectral_init(g, K, seed, strict=False)
-    if strategy.startswith("corrupt:"):
-        try:
-            swaps = int(strategy.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"init strategy {strategy!r}: use corrupt:<swaps>, a whole swap count") from None
-        if swaps < 0:
-            raise ValueError(f"init strategy {strategy!r}: the swap count must be nonnegative")
+    if (swaps := _corrupt_swaps(strategy)) is not None:
         def init(g, K, truth, seed):
             if truth is None:
                 raise ValueError("corrupt initializer needs the ground truth")
@@ -115,15 +121,13 @@ class GridConfig:
         # for its probabilities
         for alpha, beta in product(self.alphas, self.betas):
             lp = LogRegimeParams(self.n, self.d, self.K, alpha, beta)
-        counts = {"n": lp.n, "d": lp.d, "K": lp.K, "trials": as_whole(self.trials, "trials"),
-                  "threads": as_whole(self.threads, "threads"), "max_iters": check_max_iters(self.max_iters)}
+        counts = {"n": lp.n, "d": lp.d, "K": lp.K, "trials": as_whole(self.trials, "trials", 1),
+                  "threads": as_whole(self.threads, "threads", 1), "max_iters": check_max_iters(self.max_iters)}
         for name, value in counts.items():
             object.__setattr__(self, name, value)
-        if self.trials < 1:
-            raise ValueError("need at least one trial per cell")
-        if self.threads < 1:
-            raise ValueError("need at least one thread")
         make_initializer(self.init)  # validate eagerly
+        if (swaps := _corrupt_swaps(self.init)) is not None:
+            _check_swaps(swaps, self.n, f"init strategy {self.init!r}: the swap count")
 
     @classmethod
     def from_ranges(cls, n, d, K, alpha_range, beta_range, **kw):
@@ -281,13 +285,6 @@ def threshold_curve(alphas, d, K):
     return pts
 
 
-def _check_restarts(restarts) -> int:
-    """``restarts`` as an int, which must be whole and at least 1."""
-    if (restarts := as_whole(restarts, "restarts")) < 1:
-        raise ValueError("restarts must be at least 1")
-    return restarts
-
-
 def convergence_trace(
     n, d, K, alpha, beta, restarts=8, max_iters=30, base_seed=0, out=None
 ):
@@ -297,7 +294,7 @@ def convergence_trace(
     uniformly random balanced starting points, recording the aligned distance
     and objective at every iteration.  Returns a list of trace-record lists.
     """
-    restarts, max_iters = _check_restarts(restarts), check_max_iters(max_iters)
+    restarts, max_iters = as_whole(restarts, "restarts", 1), check_max_iters(max_iters)
     params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
     truth = random_init(params.n, params.K, mix_seed(base_seed, 2))
     g = sample(params, truth, mix_seed(base_seed, 0))
@@ -320,7 +317,7 @@ def timing_benchmark(param_list, iters=10, base_seed=0, out=None):
     same amount of work.  Returns one dict per configuration, keyed by
     ``TIMING_COLUMNS``.
     """
-    iters = check_max_iters(iters)
+    iters = check_max_iters(iters, "iters")
     results = []
     for idx, (n, d, K, alpha, beta) in enumerate(param_list):
         params = to_probabilities(LogRegimeParams(n, d, K, alpha, beta))
@@ -365,6 +362,7 @@ def load_votes(path, per_party=168):
     fewer) and returns ``(votes, truth)`` with ``votes`` an (n, 16) array of
     single characters and ``truth`` the party labeling (republican=0).
     """
+    per_party = as_whole(per_party, "per_party", 1)
     by_party = {p: [] for p in _PARTIES}
     for lineno, line in _data_lines(path):
         parts = line.split(",")
@@ -432,7 +430,7 @@ def uci_votes_pipeline(
     highest objective, and scores it against the party labeling.  Returns
     ``(hypergraph, truth, result_row)``.
     """
-    restarts, max_iters = _check_restarts(restarts), check_max_iters(max_iters)
+    restarts, max_iters = as_whole(restarts, "restarts", 1), check_max_iters(max_iters)
     votes, truth = load_votes(raw_file, per_party=per_party)
     g = votes_hypergraph(votes, columns, edge_prob, mix_seed(seed, 0))
     if g.num_edges == 0:

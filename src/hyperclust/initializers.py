@@ -111,6 +111,15 @@ def spectral_init(g: Hypergraph, K: int, seed: int, *, strict: bool = True) -> A
     return project_balanced(rough.one_hot())
 
 
+def _check_swaps(swaps, n: int, what: str = "swaps") -> int:
+    """``swaps`` as an int: a whole, nonnegative count of disjoint node pairs
+    among n nodes, so 2*swaps <= n.  ``corrupt`` checks its count here, and
+    ``GridConfig`` a ``corrupt:<swaps>`` start's; an error names ``what``."""
+    if 2 * (swaps := as_whole(swaps, what, 0)) > n:
+        raise ValueError(f"{what} must be at most {n // 2} (2*swaps <= n={n}), got {swaps}")
+    return swaps
+
+
 def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     """Exchange the labels of ``swaps`` disjoint cross-cluster node pairs.
 
@@ -122,11 +131,7 @@ def corrupt(ground_truth: Assignment, swaps: int, seed: int) -> Assignment:
     if not ground_truth.balanced:
         raise ValueError("ground truth must be balanced")
     n, K = ground_truth.n, ground_truth.K
-    swaps = as_whole(swaps, "swaps")
-    if swaps < 0:
-        raise ValueError(f"swaps must be nonnegative, got {swaps}")
-    if 2 * swaps > n:
-        raise ValueError(f"swaps={swaps} needs 2*swaps <= n={n}")
+    swaps = _check_swaps(swaps, n)
     if swaps and K == 1:
         raise ValueError("swaps need a second cluster to exchange labels with")
     rng = seeded_rng(seed)
@@ -247,8 +252,7 @@ def _top_eigenvectors(M, K, rng, tol=1e-8, max_iter=1000, scale=1.0, gap_tol=Non
     the last for the next Rayleigh-Ritz step, and is shortened to fit the
     cap; ``EigensolverError.iterations`` reports the products taken.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = as_whole(max_iter, "max_iter", 1)
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     p = min(K + _GUARD, M.shape[0])

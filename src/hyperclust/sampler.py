@@ -31,13 +31,7 @@ __all__ = [
 def _check_model_shape(n, d, K):
     """Checks that both parametrizations share: n nodes, order d, K | n.
     Returns n, d and K as ints."""
-    n, d, K = as_whole(n, "node count"), as_whole(d, "hyperedge order"), as_whole(K, "community count")
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
-    if d < 2:
-        raise ValueError("hyperedge order must be >= 2")
-    if K < 2:
-        raise ValueError("need at least 2 communities")
+    n, d, K = as_whole(n, "node count", 2), as_whole(d, "hyperedge order", 2), as_whole(K, "community count", 2)
     check_divides(n, K)
     return n, d, K
 
@@ -214,9 +208,7 @@ def uniformize(subsets, d0: int, n: int) -> tuple[Hypergraph, tuple[int, ...]]:
     which is what ``solver.ptpm`` requires of its ``dummy_ids``.
     Input that is already d0-uniform is returned unchanged with no dummies.
     """
-    d0, n = as_whole(d0, "d0"), as_whole(n, "node count")
-    if d0 < 2:
-        raise ValueError("d0 must be >= 2")
+    d0, n = as_whole(d0, "d0", 2), as_whole(n, "node count")
     rows = set()
     padded = False
     for subset in subsets:

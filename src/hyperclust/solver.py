@@ -63,19 +63,17 @@ class SolveReport:
     converged_by_fixed_point: bool
 
 
-def check_max_iters(max_iters):
+def check_max_iters(max_iters, what: str = "max_iters"):
     """``max_iters`` as an int, which must be whole and nonnegative; None
-    (the default budget) passes through."""
-    if max_iters is not None and (max_iters := as_whole(max_iters, "max_iters")) < 0:
-        raise ValueError("max_iters must be nonnegative")
-    return max_iters
+    (the default budget) passes through.  An error names ``what``, the
+    option the caller was given."""
+    return None if max_iters is None else as_whole(max_iters, what, 0)
 
 
 def theoretical_iteration_budget(n: int) -> int:
-    """Iteration cap ceil(2 ln ln n) + ceil(2 ln n / ln ln n) + 2 (natural logs)."""
-    n = as_whole(n, "node count")
-    if n < 3:
-        raise ValueError("budget needs n >= 3 so that ln(ln n) > 0")
+    """Iteration cap ceil(2 ln ln n) + ceil(2 ln n / ln ln n) + 2 (natural
+    logs).  It needs n >= 3, so that ln ln n > 0."""
+    n = as_whole(n, "the iteration budget's node count", 3)
     loglog = math.log(math.log(n))
     return math.ceil(2.0 * loglog) + math.ceil(2.0 * math.log(n) / loglog) + 2
 

@@ -217,6 +217,15 @@ def test_uci_without_a_restart_exits_cleanly(tmp_path, capsys):
     assert "error: restarts must be at least 1" in capsys.readouterr().err
 
 
+def test_a_negative_bench_iteration_count_names_iters(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", "120", "--k", "2", "--alpha", "33", "--beta", "8",
+                 "--iters", "-1", "--out", str(out)])
+    assert code == 2
+    assert "error: iters must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_converge_without_a_restart_exits_cleanly(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = main(["converge", "--n", "20", "--k", "2", "--alpha", "45", "--beta", "2",
@@ -380,7 +389,7 @@ def test_fewer_than_one_thread_is_an_error(flag, env, tmp_path, capsys, monkeypa
     if env is not None:
         monkeypatch.setenv("HYPERCLUST_THREADS", env)
     assert main(PHASE + flag + ["--out", str(tmp_path / "phase.csv")]) == 2
-    assert "error: need at least one thread" in capsys.readouterr().err
+    assert "error: threads must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "phase.csv").exists()
 
 
@@ -396,6 +405,7 @@ def test_a_malformed_corrupt_strategy_names_its_form(tmp_path, capsys):
     [
         (["--init", "corrupt:-4"], "error: init strategy 'corrupt:-4': the swap count must be nonnegative"),
         (["--max-iters", "-3"], "error: max_iters must be nonnegative"),
+        (["--init", "corrupt:7"], "error: init strategy 'corrupt:7': the swap count must be at most 6"),
     ],
 )
 def test_bad_solver_options_fail_before_any_trial(flag, message, tmp_path, capsys, monkeypatch):

@@ -174,14 +174,37 @@ def test_whole_floats_and_numpy_integers_are_accepted():
 
 
 def _count_cases():
-    """Calls that take a count, each with a fractional one, and the error."""
-    from hyperclust.experiments import GridConfig, block_truth, convergence_trace, uci_votes_pipeline
-    from hyperclust.initializers import random_init, spectral_init
+    """Calls that take a count, each with a fractional one or one below the
+    count's floor, and the error."""
+    from hyperclust.experiments import GridConfig, block_truth, convergence_trace, load_votes, uci_votes_pipeline
+    from hyperclust.initializers import _top_eigenvectors, corrupt, random_init, spectral_init
     from hyperclust.sampler import LogRegimeParams, ModelParams, pool_sizes, uniformize
-    from hyperclust.solver import theoretical_iteration_budget
+    from hyperclust.solver import ptpm, theoretical_iteration_budget
 
     g = Hypergraph(6, 3, [[0, 1, 2], [3, 4, 5]])
+    truth = block_truth(6, 2)
     return {
+        "Hypergraph no node": (lambda: Hypergraph(0, 3, []), "node count must be at least 1, got 0"),
+        "Hypergraph order 1": (lambda: Hypergraph(5, 1, []), "hyperedge order must be at least 2, got 1"),
+        "Assignment no cluster": (lambda: Assignment([0], 0), "cluster count must be at least 1, got 0"),
+        "ModelParams one node": (lambda: ModelParams(1, 3, 2, 0.1, 0.1), "node count must be at least 2, got 1"),
+        "ModelParams order 1": (
+            lambda: ModelParams(12, 1, 2, 0.1, 0.1), "hyperedge order must be at least 2, got 1"),
+        "ModelParams one community": (
+            lambda: ModelParams(12, 3, 1, 0.1, 0.1), "community count must be at least 2, got 1"),
+        "uniformize d0 1": (lambda: uniformize([(0, 1)], 1, 4), "d0 must be at least 2, got 1"),
+        "iteration budget n 2": (
+            lambda: theoretical_iteration_budget(2), "the iteration budget's node count must be at least 3, got 2"),
+        "GridConfig no trial": (
+            lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), trials=0), "trials must be at least 1, got 0"),
+        "GridConfig no thread": (
+            lambda: GridConfig(12, 3, 2, (1.0,), (1.0,), threads=0), "threads must be at least 1, got 0"),
+        "corrupt negative swaps": (lambda: corrupt(truth, -1, 0), "swaps must be nonnegative, got -1"),
+        "corrupt too many swaps": (
+            lambda: corrupt(truth, 4, 0), r"swaps must be at most 3 \(2\*swaps <= n=6\), got 4"),
+        "ptpm max_iters": (lambda: ptpm(g, truth, -1), "max_iters must be nonnegative, got -1"),
+        "eigensolver max_iter": (
+            lambda: _top_eigenvectors(np.eye(4), 2, seeded_rng(0), max_iter=0), "max_iter must be at least 1, got 0"),
         "ModelParams K": (lambda: ModelParams(12, 3, 2.5, 0.5, 0.1), "community count must be a whole"),
         "ModelParams d": (lambda: ModelParams(12, 3.5, 2, 0.5, 0.1), "hyperedge order must be a whole"),
         "LogRegimeParams n": (lambda: LogRegimeParams(12.5, 3, 2, 1.0, 1.0), "node count must be a whole"),
@@ -202,9 +225,11 @@ def _count_cases():
         "uniformize n": (lambda: uniformize([(0, 1)], 3, 4.5), "node count must be a whole"),
         "pool_sizes K": (lambda: pool_sizes(10, 3, 2.5), "community count must be a whole"),
         "iteration budget n": (lambda: theoretical_iteration_budget(100.5), "node count must be a whole"),
-        # both checked before the file is read
+        # all checked before the file is read
         "uci restarts": (lambda: uci_votes_pipeline("votes.data", restarts=1.5), "restarts must be a whole"),
         "uci no restart": (lambda: uci_votes_pipeline("votes.data", restarts=0), "restarts must be at least 1"),
+        "load_votes no member": (
+            lambda: load_votes("votes.data", per_party=-3), "per_party must be at least 1, got -3"),
     }
 
 

@@ -21,8 +21,10 @@ def test_demo_exits_cleanly(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    # the warnings that pyproject.toml's pytest settings make errors, in the demo's process too
+    warnings_as_errors = ["-W", "error::DeprecationWarning", "-W", "error::FutureWarning"]
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, *warnings_as_errors, str(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

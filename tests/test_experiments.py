@@ -88,7 +88,7 @@ def test_grid_ranges_must_be_finite(position, bad):
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_grid_config_needs_at_least_one_thread(threads):
-    with pytest.raises(ValueError, match="at least one thread"):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
         GridConfig(12, 3, 2, (5.0,), (1.0,), threads=threads)
 
 
@@ -102,9 +102,19 @@ def test_grid_config_needs_at_least_one_thread(threads):
     ids=["negative-swaps", "negative-max-iters", "infinite-max-iters"],
 )
 def test_grid_config_rejects_bad_solver_options_up_front(option, message):
-    # the same messages as make_initializer and ptpm, before any sampling
+    # the same messages as corrupt and ptpm, before any sampling
     with pytest.raises(ValueError, match=message):
         GridConfig(12, 3, 2, (5.0,), (1.0,), **option)
+
+
+def test_an_impossible_corrupt_start_fails_when_the_grid_is_built(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an instance was sampled before the start was checked")
+
+    monkeypatch.setattr(experiments, "sample", no_work)
+    message = r"init strategy 'corrupt:7': the swap count must be at most 6 \(2\*swaps <= n=12\), got 7"
+    with pytest.raises(ValueError, match=message):
+        phase_transition(GridConfig(12, 3, 2, (5.0,), (1.0,), trials=1, init="corrupt:7"))
 
 
 def test_grid_config_takes_max_iters_as_a_whole_number_or_none():
@@ -120,8 +130,8 @@ def test_grid_config_takes_max_iters_as_a_whole_number_or_none():
         (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 0}, "restarts must be at least 1"),
         (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 1.5}, "restarts must be a whole number"),
         (convergence_trace, (120, 3, 2, 33.0, 8.0), {"restarts": 1, "max_iters": -3}, "max_iters must be nonnegative"),
-        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": -1}, "max_iters must be nonnegative"),
-        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": 2.5}, "max_iters must be a whole number"),
+        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": -1}, "^iters must be nonnegative"),
+        (timing_benchmark, ([(120, 3, 2, 33.0, 8.0)],), {"iters": 2.5}, "^iters must be a whole number"),
         (uci_votes_pipeline, ("votes.data",), {"restarts": 0}, "restarts must be at least 1"),
         (uci_votes_pipeline, ("votes.data",), {"max_iters": -3}, "max_iters must be nonnegative"),
     ],
